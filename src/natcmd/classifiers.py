@@ -18,11 +18,12 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .dataset import FRAME_SIZE, LabeledDataset, as_frame, one_hot_encode
+from .dataset import FRAME_SIZE, LabeledDataset, as_frame, as_frames, one_hot_encode
 from .errors import ModelError, TrainingError
 
 SVM_KIND = "svm"
@@ -33,6 +34,12 @@ MODEL_FILE_VERSION = 1
 # pass (a speed knob only; the update sequence it produces is the plain
 # per-sample one).
 _SVM_CHUNK = 256
+
+# Rows scored per matrix product (a speed knob only). Products this small
+# stay on the calling thread: a (576, 63) x (63, 30) product already went to
+# OpenBLAS worker threads, and waking them took 8-15 ms on a shared 2-vCPU
+# x86_64 VM, against about 0.1 ms for 256 rows on one thread.
+_SCORE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -70,11 +77,6 @@ class MlpConfig:
             raise TrainingError("epochs must be >= 1")
 
 
-# Parameter array shapes per kind, as functions of (hidden units H, classes K).
-_SVM_PARAMS = ("weights",)
-_MLP_PARAMS = ("w1", "b1", "w2", "b2")
-
-
 @dataclass(frozen=True, eq=False)
 class GestureModel:
     """A trained classifier: kind, label vocabulary, and parameter arrays.
@@ -88,6 +90,8 @@ class GestureModel:
     label_set: tuple[str, ...]
     params: dict[str, np.ndarray]
     training_time_ms: float = 0.0
+    # what the kind's score function takes, derived from params once per model
+    _operands: object = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "label_set", tuple(self.label_set))
@@ -98,6 +102,7 @@ class GestureModel:
                 raise ModelError(f"parameter {name!r} contains non-finite values")
             arr.setflags(write=False)
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_operands", MODEL_KINDS[self.kind].prepare(params))
 
     @property
     def n_classes(self) -> int:
@@ -105,32 +110,17 @@ class GestureModel:
 
 
 def _check_param_shapes(kind: str, params: dict[str, np.ndarray], k: int) -> None:
-    if kind == SVM_KIND:
-        if set(params) != set(_SVM_PARAMS):
-            raise ModelError(f"svm params must be {_SVM_PARAMS}, got {sorted(params)}")
-        if params["weights"].shape != (k, FRAME_SIZE + 1):
-            raise ModelError(
-                f"svm weights must be ({k}, {FRAME_SIZE + 1}), "
-                f"got {params['weights'].shape}"
-            )
-    elif kind == MLP_KIND:
-        if set(params) != set(_MLP_PARAMS):
-            raise ModelError(f"mlp params must be {_MLP_PARAMS}, got {sorted(params)}")
-        h = params["b1"].shape[0] if params["b1"].ndim == 1 else -1
-        expected = {
-            "w1": (FRAME_SIZE, h),
-            "b1": (h,),
-            "w2": (h, k),
-            "b2": (k,),
-        }
-        for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise ModelError(
-                    f"mlp parameter {name!r} must have shape {shape}, "
-                    f"got {params[name].shape}"
-                )
-    else:
+    spec = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
         raise ModelError(f"unsupported model kind {kind!r}")
+    if set(params) != set(spec.param_names):
+        raise ModelError(f"{kind} params must be {spec.param_names}, got {sorted(params)}")
+    for name, shape in spec.shapes(params, k).items():
+        if params[name].shape != shape:
+            raise ModelError(
+                f"{kind} parameter {name!r} must have shape {shape}, "
+                f"got {params[name].shape}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +129,8 @@ class Prediction:
 
     SVM scores are raw margins; MLP scores are softmax probabilities. The
     label is the argmax with ties broken toward the lowest label index.
+    ``elapsed_ms`` is the frame's scoring time, or from :func:`predict_batch`
+    the batch's scoring time divided by its size.
     """
 
     label: str
@@ -346,23 +338,110 @@ def compute_mlp_gradients(model: GestureModel, frames, targets):
     return _mlp_loss_and_grads(model.params, x, t)
 
 
+# ---------------------------------------------------------------------------
+# Scoring: one kernel, model kinds as data
+# ---------------------------------------------------------------------------
+
+
+def _logistic(x: float) -> float:
+    # split by sign to avoid overflow in exp
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _svm_operands(params):
+    # (63, K) weights and (K,) bias, split off the augmented matrix once
+    weights = params["weights"]
+    wt = np.ascontiguousarray(weights[:, :-1].T)
+    bias = weights[:, -1].copy()
+    wt.setflags(write=False)
+    bias.setflags(write=False)
+    return wt, bias
+
+
+def _mlp_shapes(params, k):
+    h = params["b1"].shape[0] if params["b1"].ndim == 1 else -1
+    return {"w1": (FRAME_SIZE, h), "b1": (h,), "w2": (h, k), "b2": (k,)}
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """What one model family is, as data rather than branches.
+
+    ``shapes(params, K)`` gives the required shape of every parameter;
+    ``prepare(params)`` builds, once per model, the operands that
+    ``score(operands, x)`` takes; ``score`` maps a (63,) frame to (K,) scores
+    and an (N, 63) batch to (N, K); ``confidence`` maps a winning score to
+    [0, 1].
+    """
+
+    param_names: tuple[str, ...]
+    shapes: Callable[[dict, int], dict[str, tuple[int, ...]]]
+    prepare: Callable[[dict], object]
+    score: Callable[[object, np.ndarray], np.ndarray]
+    confidence: Callable[[float], float]
+
+
+MODEL_KINDS: dict[str, ModelKind] = {
+    # raw one-vs-rest margins; confidence is the logistic of the winning margin
+    SVM_KIND: ModelKind(
+        param_names=("weights",),
+        shapes=lambda params, k: {"weights": (k, FRAME_SIZE + 1)},
+        prepare=_svm_operands,
+        score=lambda ops, x: x @ ops[0] + ops[1],
+        confidence=_logistic,
+    ),
+    # softmax probabilities; confidence is the winning probability
+    MLP_KIND: ModelKind(
+        param_names=("w1", "b1", "w2", "b2"),
+        shapes=_mlp_shapes,
+        prepare=lambda params: params,
+        score=lambda params, x: _softmax(_mlp_forward(params, x)[2]),
+        confidence=lambda top: min(1.0, max(0.0, top)),
+    ),
+}
+
+
+def scores(model: GestureModel, x: np.ndarray) -> np.ndarray:
+    """(K,) scores of a validated (63,) frame, or (N, K) of a validated
+    (N, 63) batch: SVM margins or MLP softmax probabilities."""
+    score = MODEL_KINDS[model.kind].score
+    if x.ndim == 2 and len(x) > _SCORE_BLOCK:
+        blocks = range(0, len(x), _SCORE_BLOCK)
+        return np.concatenate(
+            [score(model._operands, x[i : i + _SCORE_BLOCK]) for i in blocks]
+        )
+    return score(model._operands, x)
+
+
 def predict(model: GestureModel, frame) -> Prediction:
     """Classify one frame; ties in the scores resolve to the lowest index."""
     x = as_frame(frame)
     start = time.perf_counter()
-    if model.kind == SVM_KIND:
-        scores = model.params["weights"][:, :-1] @ x + model.params["weights"][:, -1]
-    else:
-        _, _, logits = _mlp_forward(model.params, x[None, :])
-        scores = _softmax(logits)[0]
-    idx = int(np.argmax(scores))
+    s = scores(model, x)
+    idx = int(s.argmax())
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return Prediction(label=model.label_set[idx], scores=scores, elapsed_ms=elapsed_ms)
+    return Prediction(label=model.label_set[idx], scores=s, elapsed_ms=elapsed_ms)
 
 
 def predict_batch(model: GestureModel, frames) -> list[Prediction]:
-    """Classify a frame sequence one by one, preserving input order."""
-    return [predict(model, frame) for frame in frames]
+    """Classify a frame sequence in one product, preserving input order.
+
+    Raises the DatasetError that :func:`predict` raises for the first
+    invalid frame. Every prediction carries the same ``elapsed_ms``: the
+    batch's scoring time divided by its size.
+    """
+    x = as_frames(frames)
+    if len(x) == 0:
+        return []
+    start = time.perf_counter()
+    s = scores(model, x)
+    idx = s.argmax(axis=1)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(x)
+    labels = model.label_set
+    return [Prediction(labels[i], row, elapsed_ms) for i, row in zip(idx.tolist(), s)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +479,7 @@ def load_model(path: str) -> GestureModel:
             f"(expected {MODEL_FILE_VERSION})"
         )
     kind = doc.get("kind")
-    if kind not in (SVM_KIND, MLP_KIND):
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ModelError(f"{path}: unsupported model kind {kind!r}")
     labels = doc.get("labels")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import classifiers, dataset, dispatch, metrics, voice
-from .errors import NatcmdError
+from .errors import DatasetError, NatcmdError, ParseError, StreamError
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -176,17 +176,26 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _raw_frame_lines(fh):
+    """(line number, fields) for each non-blank line of a raw frame file.
+
+    A line is 63 comma-separated numbers; empty fields, such as the one a
+    trailing comma leaves, are dropped. Validation is left to as_frame.
+    """
+    for lineno, line in enumerate(fh, start=1):
+        if line.strip():
+            yield lineno, [v for v in line.strip().split(",") if v.strip()]
+
+
 def _read_frame_file(path: str):
     if not os.path.exists(path):
         raise NatcmdError(f"frame file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                values = [v for v in line.strip().split(",") if v != ""]
-                try:
-                    return dataset.as_frame([float(v) for v in values])
-                except ValueError:
-                    raise dataset.ParseError(lineno, "non-numeric frame value") from None
+        for lineno, fields in _raw_frame_lines(fh):
+            try:
+                return dataset.as_frame(fields)
+            except DatasetError as exc:
+                raise ParseError(lineno, str(exc)) from None
     raise NatcmdError(f"{path}: no frame line found")
 
 
@@ -236,11 +245,8 @@ def _iter_replay_frames(path: str, clock: dispatch.ReplayClock):
         ds = dataset.load_landmark_dataset(path, format="jsonl")
         rows = list(ds.frames)
     else:
-        rows = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rows.append(line.strip().split(","))
+            rows = [fields for _, fields in _raw_frame_lines(fh)]
     return clock.drive(rows, dispatch.REPLAY_FRAME_INTERVAL_MS)
 
 
@@ -253,6 +259,11 @@ def _cmd_run(args) -> int:
         raise _UsageError("--frames requires --model")
     if want_voice and not args.embeddings:
         raise _UsageError("--transcripts requires --embeddings")
+    if want_gesture:
+        try:
+            policy = dispatch.StabilityPolicy(k=args.k, suppress_label=args.suppress)
+        except StreamError as exc:
+            raise _UsageError(str(exc)) from None
 
     def sink(ev: dispatch.CommandEvent) -> None:
         sys.stdout.write(dispatch.encode_event(ev))
@@ -262,7 +273,6 @@ def _cmd_run(args) -> int:
         model = classifiers.load_model(args.model)
         clock = dispatch.ReplayClock()
         frames = _iter_replay_frames(args.frames, clock)
-        policy = dispatch.StabilityPolicy(k=args.k, suppress_label=args.suppress)
         gs = dispatch.run_gesture_stream(model, frames, policy, sink, clock=clock.now)
         summary["gesture"] = {
             "events_emitted": gs.events_emitted,

@@ -79,6 +79,23 @@ def as_frame(coords) -> np.ndarray:
     return arr
 
 
+def as_frames(rows) -> np.ndarray:
+    """Validate a frame sequence at once and return it as an (N, 63) array.
+
+    A well-formed batch is checked in one pass; otherwise every row goes
+    through :func:`as_frame`, so the first invalid row raises the same
+    DatasetError it would raise alone.
+    """
+    try:
+        arr = np.asarray(rows, dtype=np.float64)
+        if arr.ndim == 2 and arr.shape[1] == FRAME_SIZE and np.all(np.isfinite(arr)):
+            return arr
+    except (TypeError, ValueError):
+        pass
+    frames = [as_frame(row) for row in rows]
+    return np.array(frames).reshape(len(frames), FRAME_SIZE)
+
+
 def center_on_wrist(frames: np.ndarray) -> np.ndarray:
     """Subtract landmark 0 (the wrist) from every landmark of each frame.
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 
-from .classifiers import MLP_KIND, GestureModel, predict
+from .classifiers import MODEL_KINDS, GestureModel, predict
 from .dataset import as_frame
 from .errors import DatasetError, StreamError
 from .voice import CommandList, EmbeddingTable, resolve_command
@@ -150,21 +149,10 @@ class VoiceStreamSummary:
     aborted: bool = False
 
 
-def _logistic(x: float) -> float:
-    # split by sign to avoid overflow in exp
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def gesture_confidence(model: GestureModel, scores) -> float:
-    """Map the winning score to [0, 1]: softmax wins pass through, margins
-    go through the logistic function."""
-    top = float(max(scores))
-    if model.kind == MLP_KIND:
-        return min(1.0, max(0.0, top))
-    return _logistic(top)
+    """Map the winning score to [0, 1] with the model kind's confidence map:
+    softmax wins pass through, margins go through the logistic function."""
+    return MODEL_KINDS[model.kind].confidence(float(max(scores)))
 
 
 def run_gesture_stream(

@@ -81,6 +81,7 @@ class EmbeddingTable:
     def __post_init__(self):
         if self.dimension < 1:
             raise VoiceError("embedding dimension must be >= 1")
+        entries = {}
         for word, vec in self.entries.items():
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (self.dimension,):
@@ -90,7 +91,8 @@ class EmbeddingTable:
                 )
             if not np.all(np.isfinite(arr)):
                 raise VoiceError(f"vector for {word!r} has non-finite values")
-            self.entries[word] = arr
+            entries[word] = arr
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)

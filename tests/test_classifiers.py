@@ -22,7 +22,7 @@ from natcmd import (
     train_mlp,
 )
 from natcmd.classifiers import svm_objective
-from natcmd.errors import ModelError, TrainingError
+from natcmd.errors import DatasetError, ModelError, TrainingError
 
 
 def embedded_toy_dataset():
@@ -286,6 +286,73 @@ class TestPredict:
         ds, _, _ = embedded_toy_dataset()
         model = train_linear_svm(ds, SvmConfig(seed=0))
         assert predict_batch(model, []) == []
+        assert predict_batch(model, np.empty((0, FRAME_SIZE))) == []
+
+
+@pytest.fixture(scope="module")
+def both_kinds():
+    _, ds = separable_dataset(per_label=30, labels=tuple("abcde"))
+    return {
+        "svm": train_linear_svm(ds, SvmConfig(seed=4)),
+        "mlp": train_mlp(ds, MlpConfig(learning_rate=0.1, epochs=5, seed=4)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["svm", "mlp"])
+class TestBatchMatchesPerFrame:
+    """Differential tests: the one-product batch path against per-frame predict."""
+
+    def test_labels_and_scores(self, both_kinds, kind):
+        model = both_kinds[kind]
+        rng = np.random.default_rng(31)
+        frames = np.vstack([
+            rng.uniform(0.0, 1.0, (1200, FRAME_SIZE)),
+            rng.normal(0.0, 5.0, (300, FRAME_SIZE)),
+        ])
+        batch = predict_batch(model, frames)
+        single = [predict(model, frame) for frame in frames]
+        assert [p.label for p in batch] == [p.label for p in single]
+        np.testing.assert_allclose(
+            np.array([p.scores for p in batch]),
+            np.array([p.scores for p in single]),
+            rtol=1e-12, atol=0.0,
+        )
+
+    def test_list_input_matches_array_input(self, both_kinds, kind):
+        model = both_kinds[kind]
+        frames = np.random.default_rng(32).uniform(0.0, 1.0, (40, FRAME_SIZE))
+        from_list = predict_batch(model, frames.tolist())
+        from_array = predict_batch(model, frames)
+        assert [p.label for p in from_list] == [p.label for p in from_array]
+
+    @pytest.mark.parametrize("bad", ["nan_row", "62_values", "ragged", "non_numeric"])
+    def test_same_error_as_predict(self, both_kinds, kind, bad):
+        model = both_kinds[kind]
+        rows = np.random.default_rng(33).uniform(0.0, 1.0, (5, FRAME_SIZE))
+        if bad == "nan_row":
+            rows[2, 7] = np.nan
+            batch, row = rows, rows[2]
+        elif bad == "62_values":
+            batch, row = rows[:, :62], rows[0, :62]
+        elif bad == "ragged":
+            batch = rows.tolist()
+            batch[3] = batch[3][:62]
+            row = batch[3]
+        else:
+            batch = rows.tolist()
+            batch[1] = ["x"] * FRAME_SIZE
+            row = batch[1]
+        with pytest.raises(DatasetError) as single_exc:
+            predict(model, row)
+        with pytest.raises(DatasetError) as batch_exc:
+            predict_batch(model, batch)
+        assert str(batch_exc.value) == str(single_exc.value)
+
+    def test_batch_time_is_shared(self, both_kinds, kind):
+        frames = np.random.default_rng(34).uniform(0.0, 1.0, (50, FRAME_SIZE))
+        batch = predict_batch(both_kinds[kind], frames)
+        assert len({p.elapsed_ms for p in batch}) == 1
+        assert batch[0].elapsed_ms > 0
 
 
 class TestSerialization:

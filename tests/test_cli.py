@@ -229,6 +229,50 @@ class TestRun:
         code, _, err = run(capsys, "run")
         assert code == 1
 
+    def test_k_zero_is_usage_error(self, small_data, tmp_path, capsys):
+        model_path = str(tmp_path / "m.json")
+        run(capsys, "train", "--kind", "svm", "--data", small_data, "-o", model_path)
+        frames = self.make_frame_file(tmp_path)
+        code, out, err = run(
+            capsys, "run", "--model", model_path, "--frames", frames, "--k", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert "stability window k must be >= 1" in err
+
+    @pytest.mark.parametrize("line_end", [",\n", "\n", " , \n"])
+    def test_predict_and_run_read_frame_lines_alike(
+        self, small_data, tmp_path, capsys, line_end
+    ):
+        model_path = str(tmp_path / "m.json")
+        run(capsys, "train", "--kind", "svm", "--data", small_data, "-o", model_path)
+        spec = SyntheticSpec(label_set=("down", "stop", "up"), frames_per_label=1,
+                             noise_sigma=0.01, seed=3)
+        protos = synthetic_prototypes(spec)
+        lines = [",".join(str(v) for v in protos[label]) + line_end
+                 for label in ("up",) * 6 + ("down",) * 6]
+        path = str(tmp_path / "frames.txt")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        predicted = []
+        for i, line in enumerate(lines):
+            one = str(tmp_path / f"frame{i}.txt")
+            with open(one, "w") as fh:
+                fh.write(line)
+            code, out, _ = run(capsys, "predict", "--model", model_path, "--frame", one)
+            assert code == 0
+            predicted.append(json.loads(out)["label"])
+        assert predicted == ["up"] * 6 + ["down"] * 6
+        code, out, err = run(
+            capsys, "run", "--model", model_path, "--frames", path, "--k", "5"
+        )
+        assert code == 0
+        events = [json.loads(l) for l in out.splitlines()]
+        assert [(e["action"], e["ts_ms"]) for e in events] == [("up", 160), ("down", 400)]
+        summary = json.loads(err)["gesture"]
+        assert summary["frames_processed"] == 12
+        assert summary["frames_skipped"] == 0
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_1(self, capsys):

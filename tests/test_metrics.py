@@ -13,6 +13,7 @@ from natcmd import (
     generate_synthetic_dataset,
     macro_precision,
     macro_recall,
+    predict,
     report_to_dict,
     train_linear_svm,
 )
@@ -69,6 +70,23 @@ class TestConfusionMatrix:
     def test_unknown_label_rejected(self):
         with pytest.raises(MetricError):
             confusion_matrix(["a"], ["q"], ["a", "b"])
+
+    def test_unknown_label_error_names_first_in_pair_order(self):
+        label_set = ["a", "b"]
+        cases = [
+            ((["a", "x", "y"], ["a", "b", "a"]), "'x'"),
+            ((["a", "b", "y"], ["a", "q", "a"]), "'q'"),
+            ((["a", "b", "a"], ["b", "q", "z"]), "'q'"),
+            ((["x", "a"], ["q", "a"]), "'x'"),
+            ((["a", "a", "y"], ["b", "b", "q"]), "'y'"),
+        ]
+        for (true, pred), name in cases:
+            with pytest.raises(MetricError, match=f"label {name} not in label_set"):
+                confusion_matrix(true, pred, label_set)
+
+    def test_accepts_any_iterables(self):
+        cm = confusion_matrix(iter(["a", "b"]), ("b", "b"), iter(["a", "b"]))
+        assert cm.counts.tolist() == [[0, 1], [0, 1]]
 
 
 class TestMetricValues:
@@ -173,6 +191,20 @@ class TestEvaluateModel:
         assert report.f1 == pytest.approx(f1(report.macro_precision, report.macro_recall))
         assert report.training_time_ms == model.training_time_ms
         assert report.mean_prediction_time_ms > 0
+
+    def test_confusion_matches_per_frame_count(self):
+        # trained on one seed's prototypes, scored on another's: many errors
+        labels = ("a", "b", "c", "d")
+        train = generate_synthetic_dataset(SyntheticSpec(labels, 50, 0.01, seed=8))
+        ds = generate_synthetic_dataset(SyntheticSpec(labels, 300, 0.05, seed=9))
+        model = train_linear_svm(train, SvmConfig(seed=8))
+        report = evaluate_model(model, ds)
+        expected = np.zeros((4, 4), dtype=np.int64)
+        index = {label: i for i, label in enumerate(model.label_set)}
+        for frame, label in zip(ds.frames, ds.labels):
+            expected[index[label], index[predict(model, frame).label]] += 1
+        assert np.trace(expected) < len(ds)  # the oracle sees some errors
+        np.testing.assert_array_equal(report.confusion.counts, expected)
 
     def test_unknown_test_label_rejected(self, trained):
         model, ds = trained

@@ -129,6 +129,16 @@ class TestEmbeddings:
         with pytest.raises(VoiceError):
             load_embeddings(path)
 
+    def test_caller_entries_left_unchanged(self):
+        entries = {"a": [1.0, 2.0], "b": np.array([3.0, 4.0])}
+        b_vec = entries["b"]
+        table = EmbeddingTable(dimension=2, entries=entries)
+        assert entries["a"] == [1.0, 2.0]
+        assert entries["b"] is b_vec
+        assert set(entries) == {"a", "b"}
+        assert table.entries is not entries
+        np.testing.assert_array_equal(table.entries["a"], [1.0, 2.0])
+
 
 class TestPhraseVector:
     def test_single_token_is_its_vector(self):
