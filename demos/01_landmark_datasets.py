@@ -55,6 +55,6 @@ print(f"per-label test counts: {sorted(set(test.label_counts().values()))}")
 
 onehot = one_hot_encode(train.labels[:5], train.label_set)
 print("first five training labels, one-hot encoded:")
-for label, row in zip(train.labels[:5], onehot.rows):
+for label, row in zip(train.labels[:5], onehot):
     print(f"  {label:12s} -> {row.tolist()}")
-assert onehot.decode() == tuple(train.labels[:5])
+assert tuple(train.label_set[j] for j in onehot.argmax(axis=1)) == train.labels[:5]

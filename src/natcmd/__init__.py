@@ -22,7 +22,6 @@ from .dataset import (
     DEFAULT_GESTURE_LABELS,
     FRAME_SIZE,
     LabeledDataset,
-    OneHotMatrix,
     SyntheticSpec,
     as_frame,
     center_on_wrist,

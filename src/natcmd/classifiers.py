@@ -50,11 +50,11 @@ class SvmConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise TrainingError("C must be > 0")
         if self.max_epochs < 1:
             raise TrainingError("max_epochs must be >= 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise TrainingError("tolerance must be > 0")
 
 
@@ -69,7 +69,7 @@ class MlpConfig:
     def __post_init__(self):
         if self.hidden_units < 1:
             raise TrainingError("hidden_units must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise TrainingError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
@@ -183,7 +183,7 @@ def train_linear_svm(
     x_aug = _augment(train.frames)
     n, dim = x_aug.shape
     k = len(train.label_set)
-    onehot = one_hot_encode(train.labels, train.label_set).rows
+    onehot = one_hot_encode(train.labels, train.label_set)
     y_signs = onehot.astype(np.float64) * 2.0 - 1.0  # (N, K) in {-1, +1}
 
     inv_lam = cfg.c * n  # 1/lambda
@@ -292,7 +292,7 @@ def train_mlp(train: LabeledDataset, cfg: MlpConfig = MlpConfig()) -> GestureMod
     x = train.frames
     n = x.shape[0]
     k = len(train.label_set)
-    targets = one_hot_encode(train.labels, train.label_set).rows.astype(np.float64)
+    targets = one_hot_encode(train.labels, train.label_set).astype(np.float64)
 
     rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     params = {

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import classifiers, dataset, dispatch, metrics, voice
-from .errors import DatasetError, NatcmdError, ParseError, StreamError
+from .errors import NatcmdError
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -114,6 +114,25 @@ def _parse_labels(arg: str) -> tuple[str, ...]:
     return labels
 
 
+def _from_flags(config_type, **values):
+    """Build a config object from flag values; a value it rejects is a
+    usage error, not a data error."""
+    try:
+        return config_type(**values)
+    except NatcmdError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _load_split(args, side: int) -> dataset.LabeledDataset:
+    """The --data dataset, or side 0 (train) or 1 (test) of its --split."""
+    if args.split is not None and not 0.0 < args.split < 1.0:
+        raise _UsageError(f"train_fraction must be in (0, 1), got {args.split}")
+    ds = dataset.load_landmark_dataset(args.data)
+    if args.split is not None:
+        ds = dataset.split_dataset(ds, args.split, args.seed)[side]
+    return ds
+
+
 def _load_commands(arg: str) -> voice.CommandList:
     if arg == "default19":
         return voice.default_command_list()
@@ -121,7 +140,8 @@ def _load_commands(arg: str) -> voice.CommandList:
 
 
 def _cmd_gen_data(args) -> int:
-    spec = dataset.SyntheticSpec(
+    spec = _from_flags(
+        dataset.SyntheticSpec,
         label_set=_parse_labels(args.labels),
         frames_per_label=args.per_label,
         noise_sigma=args.sigma,
@@ -139,20 +159,21 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    ds = dataset.load_landmark_dataset(args.data)
-    if args.split is not None:
-        ds, _ = dataset.split_dataset(ds, args.split, args.seed)
     if args.kind == classifiers.SVM_KIND:
-        cfg = classifiers.SvmConfig(
-            c=args.c, max_epochs=args.max_epochs, tolerance=args.tolerance, seed=args.seed
+        cfg = _from_flags(
+            classifiers.SvmConfig,
+            c=args.c, max_epochs=args.max_epochs, tolerance=args.tolerance, seed=args.seed,
         )
-        model = classifiers.train_linear_svm(ds, cfg)
+        train = classifiers.train_linear_svm
     else:
-        cfg = classifiers.MlpConfig(
+        cfg = _from_flags(
+            classifiers.MlpConfig,
             hidden_units=args.hidden, learning_rate=args.lr,
             batch_size=args.batch_size, epochs=args.epochs, seed=args.seed,
         )
-        model = classifiers.train_mlp(ds, cfg)
+        train = classifiers.train_mlp
+    ds = _load_split(args, 0)
+    model = train(ds, cfg)
     classifiers.save_model(model, args.output)
     print(json.dumps({
         "kind": model.kind,
@@ -166,9 +187,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = classifiers.load_model(args.model)
-    ds = dataset.load_landmark_dataset(args.data)
-    if args.split is not None:
-        _, ds = dataset.split_dataset(ds, args.split, args.seed)
+    ds = _load_split(args, 1)
     report = metrics.evaluate_model(model, ds)
     print(metrics.report_to_json(report))
     if args.table:
@@ -192,10 +211,7 @@ def _read_frame_file(path: str):
         raise NatcmdError(f"frame file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, fields in _raw_frame_lines(fh):
-            try:
-                return dataset.as_frame(fields)
-            except DatasetError as exc:
-                raise ParseError(lineno, str(exc)) from None
+            return dataset.frame_from_fields(fields, lineno)
     raise NatcmdError(f"{path}: no frame line found")
 
 
@@ -260,10 +276,7 @@ def _cmd_run(args) -> int:
     if want_voice and not args.embeddings:
         raise _UsageError("--transcripts requires --embeddings")
     if want_gesture:
-        try:
-            policy = dispatch.StabilityPolicy(k=args.k, suppress_label=args.suppress)
-        except StreamError as exc:
-            raise _UsageError(str(exc)) from None
+        policy = _from_flags(dispatch.StabilityPolicy, k=args.k, suppress_label=args.suppress)
 
     def sink(ev: dispatch.CommandEvent) -> None:
         sys.stdout.write(dispatch.encode_event(ev))

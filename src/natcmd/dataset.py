@@ -3,8 +3,10 @@
 A frame is one observation of a right hand: 63 values, the (x, y, z)
 coordinates of 21 landmarks in normalized image space. Frames are plain
 float64 numpy arrays of length 63; :func:`as_frame` is the validating
-constructor. Datasets pair an (N, 63) frame matrix with per-frame string
-labels and carry the sorted label vocabulary.
+constructor and the one place that decides whether a frame is valid, for
+dataset files, single-frame files and streams alike. Datasets pair an
+(N, 63) frame matrix with per-frame string labels and carry the sorted
+label vocabulary.
 
 Two on-disk formats are supported:
 
@@ -68,15 +70,24 @@ def as_frame(coords) -> np.ndarray:
     """
     try:
         arr = np.asarray(coords, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"frame is not numeric: {exc}") from exc
     if arr.shape != (FRAME_SIZE,):
         raise DatasetError(
             f"frame must have exactly {FRAME_SIZE} coordinates, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DatasetError("frame contains non-finite values")
     return arr
+
+
+def frame_from_fields(fields, lineno: int) -> np.ndarray:
+    """:func:`as_frame` for the coordinate fields of one file line; an
+    invalid frame raises ParseError naming the line."""
+    try:
+        return as_frame(fields)
+    except DatasetError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def as_frames(rows) -> np.ndarray:
@@ -88,9 +99,9 @@ def as_frames(rows) -> np.ndarray:
     """
     try:
         arr = np.asarray(rows, dtype=np.float64)
-        if arr.ndim == 2 and arr.shape[1] == FRAME_SIZE and np.all(np.isfinite(arr)):
+        if arr.ndim == 2 and arr.shape[1] == FRAME_SIZE and np.isfinite(arr).all():
             return arr
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     frames = [as_frame(row) for row in rows]
     return np.array(frames).reshape(len(frames), FRAME_SIZE)
@@ -160,32 +171,9 @@ class LabeledDataset:
         return counts
 
 
-@dataclass(frozen=True)
-class OneHotMatrix:
-    """N x K binary matrix; column order follows ``label_set``."""
-
-    rows: np.ndarray
-    label_set: tuple[str, ...]
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != len(self.label_set):
-            raise DatasetError(
-                f"one-hot matrix must be (N, {len(self.label_set)}), got {rows.shape}"
-            )
-        if not np.all((rows == 0) | (rows == 1)) or not np.all(rows.sum(axis=1) == 1):
-            raise DatasetError("each one-hot row must contain exactly one 1")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "label_set", tuple(self.label_set))
-
-    def decode(self) -> tuple[str, ...]:
-        """Invert the encoding: each row maps back to its label."""
-        return tuple(self.label_set[j] for j in np.argmax(self.rows, axis=1))
-
-
-def one_hot_encode(labels, label_set) -> OneHotMatrix:
-    """Encode labels as rows with a single 1 at the label's index in label_set."""
+def one_hot_encode(labels, label_set) -> np.ndarray:
+    """Encode labels as a read-only (N, K) int64 array: row i has a single 1
+    at the index of ``labels[i]`` in ``label_set``."""
     label_set = tuple(label_set)
     index = {label: j for j, label in enumerate(label_set)}
     rows = np.zeros((len(labels), len(label_set)), dtype=np.int64)
@@ -194,7 +182,8 @@ def one_hot_encode(labels, label_set) -> OneHotMatrix:
             rows[i, index[label]] = 1
         except KeyError:
             raise DatasetError(f"unknown label {label!r} (not in label_set)") from None
-    return OneHotMatrix(rows=rows, label_set=label_set)
+    rows.setflags(write=False)
+    return rows
 
 
 def split_dataset(
@@ -252,7 +241,7 @@ class SyntheticSpec:
             raise DatasetError("synthetic label_set is empty")
         if self.frames_per_label < 1:
             raise DatasetError("frames_per_label must be >= 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise DatasetError("noise_sigma must be >= 0")
 
 
@@ -378,8 +367,8 @@ def _open_dataset_file(path: str):
     return open(path, "r", encoding="utf-8", newline="")
 
 
-def _read_csv(path: str) -> tuple[list[list[float]], list[str]]:
-    frames: list[list[float]] = []
+def _read_csv(path: str) -> tuple[list[np.ndarray], list[str]]:
+    frames: list[np.ndarray] = []
     labels: list[str] = []
     with _open_dataset_file(path) as fh:
         reader = csv.reader(fh)
@@ -394,17 +383,13 @@ def _read_csv(path: str) -> tuple[list[list[float]], list[str]]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(CSV_HEADER):
-                raise ParseError(
-                    lineno, f"expected {len(CSV_HEADER)} columns, got {len(row)}"
-                )
             labels.append(row[0])
-            frames.append(_parse_coords(row[1:], lineno))
+            frames.append(frame_from_fields(row[1:], lineno))
     return frames, labels
 
 
-def _read_jsonl(path: str) -> tuple[list[list[float]], list[str]]:
-    frames: list[list[float]] = []
+def _read_jsonl(path: str) -> tuple[list[np.ndarray], list[str]]:
+    frames: list[np.ndarray] = []
     labels: list[str] = []
     with _open_dataset_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -418,26 +403,6 @@ def _read_jsonl(path: str) -> tuple[list[list[float]], list[str]]:
                 raise ParseError(lineno, 'object must have exactly "label" and "coords"')
             if not isinstance(obj["label"], str):
                 raise ParseError(lineno, "label must be a string")
-            coords = obj["coords"]
-            if not isinstance(coords, list) or len(coords) != FRAME_SIZE:
-                raise ParseError(
-                    lineno,
-                    f"coords must be a list of {FRAME_SIZE} numbers, "
-                    f"got {len(coords) if isinstance(coords, list) else type(coords).__name__}",
-                )
             labels.append(obj["label"])
-            frames.append(_parse_coords(coords, lineno))
+            frames.append(frame_from_fields(obj["coords"], lineno))
     return frames, labels
-
-
-def _parse_coords(values, lineno: int) -> list[float]:
-    coords: list[float] = []
-    for v in values:
-        try:
-            x = float(v)
-        except (TypeError, ValueError):
-            raise ParseError(lineno, f"non-numeric coordinate {v!r}") from None
-        if not math.isfinite(x):
-            raise ParseError(lineno, f"non-finite coordinate {v!r}")
-        coords.append(x)
-    return coords

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 from .classifiers import MODEL_KINDS, GestureModel, predict
-from .dataset import as_frame
+from .dataset import as_frame  # noqa: F401 -- unused; bench/spans.py rebinds it by name
 from .errors import DatasetError, StreamError
 from .voice import CommandList, EmbeddingTable, resolve_command
 
@@ -164,7 +164,8 @@ def run_gesture_stream(
 ) -> GestureStreamSummary:
     """Predict frames in order and emit debounced command events.
 
-    Invalid frames are skipped with a logged warning. An event fires when
+    Frames that :func:`predict` rejects are skipped with a logged warning
+    and counted in ``frames_skipped``. An event fires when
     ``policy.k`` consecutive predictions agree on a label that is neither the
     suppressed label nor the action emitted last; the same action can fire
     again only after a different label has been emitted in between.
@@ -178,13 +179,12 @@ def run_gesture_stream(
     last_ts: int | None = None
     for raw in frames:
         try:
-            frame = as_frame(raw)
+            pred = predict(model, raw)
         except DatasetError as exc:
             skipped += 1
             logger.warning("skipping invalid frame: %s", exc)
             continue
         processed += 1
-        pred = predict(model, frame)
         if pred.label == current:
             run_length += 1
         else:

@@ -132,7 +132,7 @@ class TestMlpTraining:
         )
         cfg = MlpConfig(hidden_units=8, learning_rate=0.5, batch_size=1, epochs=300, seed=4)
         model = train_mlp(ds, cfg)
-        targets = one_hot_encode(ds.labels, ds.label_set).rows
+        targets = one_hot_encode(ds.labels, ds.label_set)
         loss, _ = compute_mlp_gradients(model, ds.frames, targets)
         assert predict(model, frame).label == "a"
         assert loss < 0.01

@@ -303,3 +303,50 @@ class TestUsage:
         code, _, _ = run(capsys, "gen-data", "--labels", "a,b", "-o",
                          str(tmp_path / "x.csv"))
         assert code == 1
+
+
+FLAG_RANGE_CASES = [
+    ("gen-data", ["--per-label", "0"], "frames_per_label must be >= 1"),
+    ("gen-data", ["--sigma", "-0.5"], "noise_sigma must be >= 0"),
+    ("gen-data", ["--sigma", "nan"], "noise_sigma must be >= 0"),
+    ("gen-data", ["--labels", "a,b,a"], "synthetic label_set contains duplicates"),
+    ("train", ["--kind", "svm", "--c", "0"], "C must be > 0"),
+    ("train", ["--kind", "svm", "--c", "nan"], "C must be > 0"),
+    ("train", ["--kind", "svm", "--max-epochs", "0"], "max_epochs must be >= 1"),
+    ("train", ["--kind", "svm", "--tolerance", "0"], "tolerance must be > 0"),
+    ("train", ["--kind", "mlp", "--hidden", "0"], "hidden_units must be >= 1"),
+    ("train", ["--kind", "mlp", "--lr", "-1"], "learning_rate must be > 0"),
+    ("train", ["--kind", "mlp", "--batch-size", "0"], "batch_size must be >= 1"),
+    ("train", ["--kind", "mlp", "--epochs", "0"], "epochs must be >= 1"),
+    ("train", ["--kind", "svm", "--split", "1"], "train_fraction must be in (0, 1)"),
+    ("evaluate", ["--split", "0"], "train_fraction must be in (0, 1)"),
+    ("evaluate", ["--split", "nan"], "train_fraction must be in (0, 1)"),
+]
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("command, flags, message", FLAG_RANGE_CASES,
+                             ids=[" ".join([c, *f]) for c, f, _ in FLAG_RANGE_CASES])
+    def test_out_of_range_flag_is_usage_error(
+        self, small_data, tmp_path, capsys, command, flags, message
+    ):
+        out_path = str(tmp_path / "out")
+        model_path = str(tmp_path / "m.json")
+        run(capsys, "train", "--kind", "svm", "--data", small_data, "-o", model_path)
+        context = {
+            "gen-data": ["--labels", "a,b", "-o", out_path],
+            "train": ["--data", small_data, "-o", out_path],
+            "evaluate": ["--model", model_path, "--data", small_data],
+        }[command]
+        code, out, err = run(capsys, command, *context, *flags)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: {message}" in err
+
+    def test_split_of_unsplittable_data_is_data_error(self, tmp_path, capsys):
+        data = str(tmp_path / "one.csv")
+        run(capsys, "gen-data", "--labels", "a,b", "--per-label", "1", "-o", data)
+        code, _, err = run(capsys, "train", "--kind", "svm", "--data", data,
+                           "--split", "0.5", "-o", str(tmp_path / "m.json"))
+        assert code == 2
+        assert "needs at least 2 per label" in err
