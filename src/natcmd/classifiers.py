@@ -50,7 +50,7 @@ class SvmConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not self.c > 0:
+        if not 0 < self.c < math.inf:
             raise TrainingError("C must be > 0")
         if self.max_epochs < 1:
             raise TrainingError("max_epochs must be >= 1")
@@ -69,7 +69,7 @@ class MlpConfig:
     def __post_init__(self):
         if self.hidden_units < 1:
             raise TrainingError("hidden_units must be >= 1")
-        if not self.learning_rate > 0:
+        if not 0 < self.learning_rate < math.inf:
             raise TrainingError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")

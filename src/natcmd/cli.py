@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import classifiers, dataset, dispatch, metrics, voice
 from .errors import NatcmdError
@@ -278,20 +279,15 @@ def _cmd_run(args) -> int:
     if want_gesture:
         policy = _from_flags(dispatch.StabilityPolicy, k=args.k, suppress_label=args.suppress)
 
-    def sink(ev: dispatch.CommandEvent) -> None:
-        sys.stdout.write(dispatch.encode_event(ev))
-
+    events: list[dispatch.CommandEvent] = []
     summary: dict = {}
     if want_gesture:
         model = classifiers.load_model(args.model)
         clock = dispatch.ReplayClock()
         frames = _iter_replay_frames(args.frames, clock)
-        gs = dispatch.run_gesture_stream(model, frames, policy, sink, clock=clock.now)
-        summary["gesture"] = {
-            "events_emitted": gs.events_emitted,
-            "frames_processed": gs.frames_processed,
-            "frames_skipped": gs.frames_skipped,
-        }
+        summary["gesture"] = dispatch.run_gesture_stream(
+            model, frames, policy, events.append, clock=clock.now
+        )
     if want_voice:
         commands = _load_commands(args.commands)
         table = voice.load_embeddings(args.embeddings)
@@ -299,15 +295,14 @@ def _cmd_run(args) -> int:
         provider = dispatch.CannedTranscriptionProvider.from_file(
             args.transcripts, clock=clock
         )
-        vs = dispatch.run_voice_stream(provider, commands, table, sink, clock=clock.now)
-        summary["voice"] = {
-            "events_emitted": vs.events_emitted,
-            "polls_processed": vs.polls_processed,
-            "failures": vs.failures,
-            "aborted": vs.aborted,
-        }
+        summary["voice"] = dispatch.run_voice_stream(
+            provider, commands, table, events.append, clock=clock.now
+        )
+    # One timeline: a stable sort keeps gesture events first on equal times.
+    events.sort(key=lambda ev: ev.ts_ms)
+    sys.stdout.writelines(dispatch.encode_event(ev) for ev in events)
     sys.stdout.flush()
-    print(json.dumps(summary), file=sys.stderr)
+    print(json.dumps({k: asdict(v) for k, v in summary.items()}), file=sys.stderr)
     return 0
 
 

@@ -241,7 +241,7 @@ class SyntheticSpec:
             raise DatasetError("synthetic label_set is empty")
         if self.frames_per_label < 1:
             raise DatasetError("frames_per_label must be >= 1")
-        if not self.noise_sigma >= 0:
+        if not 0 <= self.noise_sigma < math.inf:
             raise DatasetError("noise_sigma must be >= 0")
 
 
@@ -319,14 +319,11 @@ def infer_format(path: str) -> str:
     raise DatasetError(f"cannot infer dataset format from {path!r}; pass format=")
 
 
-def load_landmark_dataset(
-    path: str, format: str | None = None, center: bool = False
-) -> LabeledDataset:
+def load_landmark_dataset(path: str, format: str | None = None) -> LabeledDataset:
     """Read a dataset file; frames keep file order, label_set is derived.
 
     Malformed rows raise ParseError naming the line; an empty file (or one
-    with no data rows) raises DatasetError. With ``center=True`` every frame
-    is wrist-centered on load (see :func:`center_on_wrist`).
+    with no data rows) raises DatasetError.
     """
     fmt = format or infer_format(path)
     if fmt == "csv":
@@ -337,10 +334,7 @@ def load_landmark_dataset(
         raise DatasetError(f"unknown dataset format {fmt!r}")
     if not frames:
         raise DatasetError(f"{path}: empty dataset (no frames)")
-    arr = np.array(frames)
-    if center:
-        arr = center_on_wrist(arr)
-    return LabeledDataset(frames=arr, labels=tuple(labels))
+    return LabeledDataset(frames=np.array(frames), labels=tuple(labels))
 
 
 def save_landmark_dataset(ds: LabeledDataset, path: str, format: str | None = None) -> None:

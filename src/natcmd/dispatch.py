@@ -155,6 +155,22 @@ def gesture_confidence(model: GestureModel, scores) -> float:
     return MODEL_KINDS[model.kind].confidence(float(max(scores)))
 
 
+def _emitter(
+    source: str, sink: Callable[[CommandEvent], None], clock: Callable[[], int]
+) -> Callable[[str, float], None]:
+    """``emit(action_id, confidence)``: stamp an event with the clock, never
+    earlier than the previous event's time, and pass it to the sink."""
+    last_ts = None
+
+    def emit(action_id: str, confidence: float) -> None:
+        nonlocal last_ts
+        ts = clock()
+        last_ts = ts if last_ts is None else max(ts, last_ts)
+        sink(CommandEvent(source, action_id, confidence, last_ts))
+
+    return emit
+
+
 def run_gesture_stream(
     model: GestureModel,
     frames: Iterable,
@@ -176,7 +192,7 @@ def run_gesture_stream(
     run_length = 0
     current: str | None = None
     last_emitted: str | None = None
-    last_ts: int | None = None
+    emit = _emitter(GESTURE_SOURCE, sink, clock)
     for raw in frames:
         try:
             pred = predict(model, raw)
@@ -195,18 +211,7 @@ def run_gesture_stream(
             and current != policy.suppress_label
             and current != last_emitted
         ):
-            ts = clock()
-            if last_ts is not None:
-                ts = max(ts, last_ts)
-            last_ts = ts
-            sink(
-                CommandEvent(
-                    source=GESTURE_SOURCE,
-                    action_id=current,
-                    confidence=gesture_confidence(model, pred.scores),
-                    ts_ms=ts,
-                )
-            )
+            emit(current, gesture_confidence(model, pred.scores))
             last_emitted = current
             events += 1
     return GestureStreamSummary(
@@ -233,7 +238,7 @@ def run_voice_stream(
     failures = 0
     consecutive = 0
     aborted = False
-    last_ts: int | None = None
+    emit = _emitter(VOICE_SOURCE, sink, clock)
     it = iter(provider)
     while True:
         try:
@@ -260,18 +265,7 @@ def run_voice_stream(
             continue
         action_id, _ = result.matched
         total = max(c.total for c in result.per_candidate)
-        ts = clock()
-        if last_ts is not None:
-            ts = max(ts, last_ts)
-        last_ts = ts
-        sink(
-            CommandEvent(
-                source=VOICE_SOURCE,
-                action_id=action_id,
-                confidence=min(1.0, total / 2.0),
-                ts_ms=ts,
-            )
-        )
+        emit(action_id, min(1.0, total / 2.0))
         events += 1
     return VoiceStreamSummary(
         events_emitted=events, polls_processed=polls, failures=failures, aborted=aborted

@@ -170,13 +170,13 @@ class TestMatch:
 
 
 class TestRun:
-    def make_frame_file(self, tmp_path):
+    def make_frame_file(self, tmp_path, labels=("up",) * 6 + ("stop",) * 6):
         spec = SyntheticSpec(label_set=("down", "stop", "up"), frames_per_label=1,
                              noise_sigma=0.01, seed=3)
         protos = synthetic_prototypes(spec)
         path = str(tmp_path / "frames.txt")
         with open(path, "w") as fh:
-            for label in ("up",) * 6 + ("stop",) * 6:
+            for label in labels:
                 fh.write(",".join(str(v) for v in protos[label]) + "\n")
         return path
 
@@ -224,6 +224,52 @@ class TestRun:
         times = [json.loads(l)["ts_ms"] for l in lines]
         assert times == [3000, 12000]
         assert json.loads(err)["voice"]["polls_processed"] == 4
+
+    def run_both_and_each(self, small_data, embeddings_file, tmp_path, capsys):
+        """(merged, gesture-only, voice-only) runs of one 12 s frame replay
+        and three polls. With k=5 the gesture events fall at frame 4, 75,
+        154 and 254 (160, 3000, 6160 and 10160 ms); the polls at 3000, 6000
+        (silent) and 9000 ms."""
+        model_path = str(tmp_path / "m.json")
+        run(capsys, "train", "--kind", "svm", "--data", small_data, "-o", model_path)
+        frames = self.make_frame_file(
+            tmp_path, ("up",) * 71 + ("stop",) * 79 + ("down",) * 100 + ("up",) * 50
+        )
+        transcripts = str(tmp_path / "polls.txt")
+        with open(transcripts, "w") as fh:
+            fh.write("move forward\n\nshow schedule\n")
+        gesture = ["--model", model_path, "--frames", frames, "--k", "5"]
+        voice = ["--transcripts", transcripts, "--embeddings", embeddings_file]
+        results = [run(capsys, "run", *flags) for flags in (gesture + voice, gesture, voice)]
+        assert [code for code, _, _ in results] == [0, 0, 0]
+        return [(out, err) for _, out, err in results]
+
+    def test_both_sources_share_one_timeline(
+        self, small_data, embeddings_file, tmp_path, capsys
+    ):
+        (out, _), _, _ = self.run_both_and_each(small_data, embeddings_file, tmp_path, capsys)
+        events = [json.loads(line) for line in out.splitlines()]
+        assert [(e["source"], e["action"], e["ts_ms"]) for e in events] == [
+            ("gesture", "up", 160),
+            ("gesture", "stop", 3000),
+            ("voice", "move_forward", 3000),
+            ("gesture", "down", 6160),
+            ("voice", "show_schedule", 9000),
+            ("gesture", "up", 10160),
+        ]
+        times = [e["ts_ms"] for e in events]
+        assert times == sorted(times)
+
+    def test_merged_run_is_the_sorted_single_source_runs(
+        self, small_data, embeddings_file, tmp_path, capsys
+    ):
+        (out, err), (g_out, g_err), (v_out, v_err) = self.run_both_and_each(
+            small_data, embeddings_file, tmp_path, capsys
+        )
+        single = g_out.splitlines(keepends=True) + v_out.splitlines(keepends=True)
+        assert out == "".join(sorted(single, key=lambda line: json.loads(line)["ts_ms"]))
+        assert json.loads(err) == {**json.loads(g_err), **json.loads(v_err)}
+        assert list(json.loads(err)) == ["gesture", "voice"]
 
     def test_run_without_sources_is_usage_error(self, capsys):
         code, _, err = run(capsys, "run")
@@ -309,13 +355,16 @@ FLAG_RANGE_CASES = [
     ("gen-data", ["--per-label", "0"], "frames_per_label must be >= 1"),
     ("gen-data", ["--sigma", "-0.5"], "noise_sigma must be >= 0"),
     ("gen-data", ["--sigma", "nan"], "noise_sigma must be >= 0"),
+    ("gen-data", ["--sigma", "inf"], "noise_sigma must be >= 0"),
     ("gen-data", ["--labels", "a,b,a"], "synthetic label_set contains duplicates"),
     ("train", ["--kind", "svm", "--c", "0"], "C must be > 0"),
     ("train", ["--kind", "svm", "--c", "nan"], "C must be > 0"),
+    ("train", ["--kind", "svm", "--c", "inf"], "C must be > 0"),
     ("train", ["--kind", "svm", "--max-epochs", "0"], "max_epochs must be >= 1"),
     ("train", ["--kind", "svm", "--tolerance", "0"], "tolerance must be > 0"),
     ("train", ["--kind", "mlp", "--hidden", "0"], "hidden_units must be >= 1"),
     ("train", ["--kind", "mlp", "--lr", "-1"], "learning_rate must be > 0"),
+    ("train", ["--kind", "mlp", "--lr", "inf"], "learning_rate must be > 0"),
     ("train", ["--kind", "mlp", "--batch-size", "0"], "batch_size must be >= 1"),
     ("train", ["--kind", "mlp", "--epochs", "0"], "epochs must be >= 1"),
     ("train", ["--kind", "svm", "--split", "1"], "train_fraction must be in (0, 1)"),

@@ -319,11 +319,3 @@ class TestFileIO:
             path = str(tmp_path / name)
             save_landmark_dataset(ds, path)
             assert_datasets_equal(load_landmark_dataset(path), ds)
-
-    def test_center_flag(self, tmp_path):
-        spec = SyntheticSpec(label_set=("a", "b"), frames_per_label=2, seed=2)
-        ds = generate_synthetic_dataset(spec)
-        path = str(tmp_path / "c.csv")
-        save_landmark_dataset(ds, path)
-        centered = load_landmark_dataset(path, center=True)
-        np.testing.assert_allclose(centered.frames, center_on_wrist(ds.frames))

@@ -266,6 +266,26 @@ class TestVoiceStream:
         assert all(e.confidence > 0.5 for e in events)
 
 
+class TestClockClamp:
+    """A clock that steps back (say, a system clock being corrected) never
+    makes an event earlier than the one before it, on either runner."""
+
+    def test_gesture_times_never_go_back(self, gesture_setup):
+        model, protos = gesture_setup
+        events, sink = collect()
+        frames = [protos["look_up"]] * 2 + [protos["three"]] * 2 + [protos["look_up"]] * 2
+        clock = iter([500, 300, 700]).__next__
+        run_gesture_stream(model, frames, StabilityPolicy(k=2), sink, clock=clock)
+        assert [e.ts_ms for e in events] == [500, 500, 700]
+
+    def test_voice_times_never_go_back(self):
+        events, sink = collect()
+        provider = CannedTranscriptionProvider(["move forward", "zoom in", "move forward"])
+        clock = iter([500, 300, 700]).__next__
+        run_voice_stream(provider, default_command_list(), fixture_table(), sink, clock=clock)
+        assert [e.ts_ms for e in events] == [500, 500, 700]
+
+
 class TestWireProtocol:
     def test_encoded_shape(self):
         ev = CommandEvent(
