@@ -54,7 +54,7 @@ class SvmConfig:
             raise TrainingError("C must be > 0")
         if self.max_epochs < 1:
             raise TrainingError("max_epochs must be >= 1")
-        if not self.tolerance > 0:
+        if not 0 < self.tolerance < math.inf:
             raise TrainingError("tolerance must be > 0")
 
 

@@ -279,24 +279,28 @@ def _cmd_run(args) -> int:
     if want_gesture:
         policy = _from_flags(dispatch.StabilityPolicy, k=args.k, suppress_label=args.suppress)
 
-    events: list[dispatch.CommandEvent] = []
-    summary: dict = {}
+    # Every input is loaded and checked before either replay starts.
     if want_gesture:
         model = classifiers.load_model(args.model)
-        clock = dispatch.ReplayClock()
-        frames = _iter_replay_frames(args.frames, clock)
-        summary["gesture"] = dispatch.run_gesture_stream(
-            model, frames, policy, events.append, clock=clock.now
-        )
+        gesture_clock = dispatch.ReplayClock()
+        frames = _iter_replay_frames(args.frames, gesture_clock)
     if want_voice:
         commands = _load_commands(args.commands)
         table = voice.load_embeddings(args.embeddings)
-        clock = dispatch.ReplayClock()
+        voice_clock = dispatch.ReplayClock()
         provider = dispatch.CannedTranscriptionProvider.from_file(
-            args.transcripts, clock=clock
+            args.transcripts, clock=voice_clock
         )
+
+    events: list[dispatch.CommandEvent] = []
+    summary: dict = {}
+    if want_gesture:
+        summary["gesture"] = dispatch.run_gesture_stream(
+            model, frames, policy, events.append, clock=gesture_clock.now
+        )
+    if want_voice:
         summary["voice"] = dispatch.run_voice_stream(
-            provider, commands, table, events.append, clock=clock.now
+            provider, commands, table, events.append, clock=voice_clock.now
         )
     # One timeline: a stable sort keeps gesture events first on equal times.
     events.sort(key=lambda ev: ev.ts_ms)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
@@ -99,6 +100,8 @@ class CannedTranscriptionProvider:
         poll_interval_ms: int = DEFAULT_POLL_INTERVAL_MS,
         clock: "ReplayClock | None" = None,
     ) -> "CannedTranscriptionProvider":
+        if not os.path.exists(path):
+            raise StreamError(f"transcript file not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
             polls = [line.rstrip("\n") or None for line in fh]
         return cls(polls, poll_interval_ms=poll_interval_ms, clock=clock)

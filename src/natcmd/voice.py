@@ -14,8 +14,10 @@ ignored. Ties break toward the earlier command in the list.
 
 from __future__ import annotations
 
+import functools
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,6 +110,8 @@ def load_embeddings(path: str) -> EmbeddingTable:
     a header and skipped. Later duplicates of a word replace earlier ones
     with a warning; a dimension mismatch is an error naming the line.
     """
+    if not os.path.exists(path):
+        raise VoiceError(f"embedding table not found: {path}")
     entries: dict[str, np.ndarray] = {}
     dimension: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -170,12 +174,26 @@ def cosine_similarity(a, b) -> float:
     return max(0.0, float(np.dot(a, b) / (na * nb)))
 
 
+@functools.lru_cache(maxsize=1024)
+def _char_positions(s: str) -> dict[str, tuple[int, ...]]:
+    """Each character of ``s`` -> its indices in ``s``, ascending.
+
+    The cached dict is shared by every caller, so it must not be mutated."""
+    positions: dict[str, list[int]] = {}
+    for j, ch in enumerate(s):
+        positions.setdefault(ch, []).append(j)
+    return {ch: tuple(js) for ch, js in positions.items()}
+
+
 def jaro(s1: str, s2: str) -> float:
     """Jaro similarity over characters.
 
     Characters match within a window of max(0, floor(max(len)/2) - 1), each
     at most once; half the out-of-order matched pairs count as
     transpositions. Two empty strings score 1, no matches score 0.
+
+    Each character of ``s1`` takes the first unmatched equal character of
+    ``s2`` in its window, looked up in a position map of ``s2``.
     """
     if not s1 and not s2:
         return 1.0
@@ -183,31 +201,25 @@ def jaro(s1: str, s2: str) -> float:
         return 0.0
     len1, len2 = len(s1), len(s2)
     window = max(0, max(len1, len2) // 2 - 1)
+    positions = _char_positions(s2)
 
-    s1_hit = [False] * len1
     s2_hit = [False] * len2
-    matches = 0
-    for i, ch in enumerate(s1):
-        start = max(0, i - window)
-        end = min(i + window + 1, len2)
-        for j in range(start, end):
-            if not s2_hit[j] and s2[j] == ch:
-                s1_hit[i] = s2_hit[j] = True
-                matches += 1
+    s1_matched: list[str] = []
+    # Past i = len2 + window - 1 no index of s2 is in the window.
+    for i, ch in enumerate(s1[: len2 + window]):
+        for j in positions.get(ch, ()):
+            if j > i + window:
                 break
+            if j >= i - window and not s2_hit[j]:
+                s2_hit[j] = True
+                s1_matched.append(ch)
+                break
+    matches = len(s1_matched)
     if matches == 0:
         return 0.0
 
-    k = 0
-    mismatched = 0
-    for i, ch in enumerate(s1):
-        if not s1_hit[i]:
-            continue
-        while not s2_hit[k]:
-            k += 1
-        if ch != s2[k]:
-            mismatched += 1
-        k += 1
+    s2_matched = [ch for ch, hit in zip(s2, s2_hit) if hit]
+    mismatched = sum(a != b for a, b in zip(s1_matched, s2_matched))
     transpositions = mismatched / 2.0
     return (
         matches / len1 + matches / len2 + (matches - transpositions) / matches
@@ -235,21 +247,35 @@ class Command:
 
 @dataclass(frozen=True, eq=False)
 class CommandList:
+    """The commands, plus what resolving needs of their phrases, computed once:
+    each canonical string, all tokens in one tuple, and a (C, T) 0/1 matrix
+    whose row c marks the tokens of command c."""
+
     commands: tuple[Command, ...]
+    _canonicals: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _token_owner: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         commands = tuple(self.commands)
         if not commands:
             raise VoiceError("command list is empty")
+        phrases = [normalize_phrase(cmd.phrase) for cmd in commands]
+        canonicals = tuple(p.canonical for p in phrases)
         seen: set[str] = set()
-        for cmd in commands:
-            canonical = normalize_phrase(cmd.phrase).canonical
+        for cmd, canonical in zip(commands, canonicals):
             if not canonical:
                 raise VoiceError(f"command phrase {cmd.phrase!r} normalizes to nothing")
             if canonical in seen:
                 raise VoiceError(f"duplicate command phrase {cmd.phrase!r}")
             seen.add(canonical)
+        tokens = tuple(t for p in phrases for t in p.tokens)
+        owner = np.repeat(np.eye(len(commands)), [len(p.tokens) for p in phrases], axis=1)
+        owner.flags.writeable = False
         object.__setattr__(self, "commands", commands)
+        object.__setattr__(self, "_canonicals", canonicals)
+        object.__setattr__(self, "_tokens", tokens)
+        object.__setattr__(self, "_token_owner", owner)
 
     def __len__(self) -> int:
         return len(self.commands)
@@ -274,6 +300,8 @@ def default_command_list() -> CommandList:
 
 def load_command_list(path: str) -> CommandList:
     """Read ``action_id<TAB>phrase`` lines into a CommandList."""
+    if not os.path.exists(path):
+        raise VoiceError(f"command list not found: {path}")
     commands = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -318,16 +346,31 @@ class MatchResult:
 def resolve_command(
     transcript: str, commands: CommandList, table: EmbeddingTable
 ) -> MatchResult:
-    """Score the transcript against every command and apply the >1 threshold."""
+    """Score the transcript against every command and apply the >1 threshold.
+
+    Per transcript: one normalize and one phrase vector, one gather of the
+    command-token vectors from the table (read afresh, so later edits to
+    ``table.entries`` count), then one product that sums each command's
+    token vectors and one that dots the sums with the transcript vector.
+    A sum has the cosine of the mean, so only the last bits can differ
+    from :func:`cosine_similarity` of the mean vectors.
+    """
     phrase = normalize_phrase(transcript)
     tvec = phrase_vector(phrase, table)
+    absent = np.zeros(table.dimension)
+    token_vecs = np.array([table.entries.get(t, absent) for t in commands._tokens])
+    sums = commands._token_owner @ token_vecs
+    norms = np.linalg.norm(sums, axis=1) * np.linalg.norm(tvec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = (sums @ tvec) / norms
+    cosines[~(cosines > 0.0)] = 0.0  # clamp at 0; a zero norm gives 0/0 -> 0
     scored: list[CandidateScore] = []
     best_idx = 0
     best_total = float("-inf")
-    for idx, cmd in enumerate(commands):
-        cmd_phrase = normalize_phrase(cmd.phrase)
-        cos = cosine_similarity(tvec, phrase_vector(cmd_phrase, table))
-        jw = jaro_winkler(phrase.canonical, cmd_phrase.canonical)
+    for idx, (cmd, canonical, cos) in enumerate(
+        zip(commands.commands, commands._canonicals, cosines.tolist())
+    ):
+        jw = jaro_winkler(phrase.canonical, canonical)
         scored.append(CandidateScore(phrase=cmd.phrase, cosine=cos, jaro_winkler=jw))
         if scored[-1].total > best_total:
             best_total = scored[-1].total

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from natcmd import SyntheticSpec, synthetic_prototypes
+from natcmd import SyntheticSpec, dispatch, synthetic_prototypes
 from natcmd.cli import run_cli
 
 
@@ -320,6 +320,49 @@ class TestRun:
         assert summary["frames_skipped"] == 0
 
 
+class TestMissingVoiceFiles:
+    """A missing voice input is a data error naming the path; ``run`` finds
+    it before the gesture replay starts."""
+
+    CASES = [
+        ("match", "--embeddings", "embedding table not found"),
+        ("match", "--commands", "command list not found"),
+        ("run", "--embeddings", "embedding table not found"),
+        ("run", "--commands", "command list not found"),
+        ("run", "--transcripts", "transcript file not found"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, message", CASES,
+                             ids=[f"{c} {f}" for c, f, _ in CASES])
+    def test_missing_file_exits_2_before_any_replay(
+        self, small_data, embeddings_file, tmp_path, capsys, monkeypatch,
+        command, flag, message,
+    ):
+        model_path = str(tmp_path / "m.json")
+        run(capsys, "train", "--kind", "svm", "--data", small_data, "-o", model_path)
+        transcripts = str(tmp_path / "polls.txt")
+        with open(transcripts, "w") as fh:
+            fh.write("move forward\n")
+        inputs = {"--embeddings": embeddings_file, "--commands": "default19",
+                  "--transcripts": transcripts}
+        missing = str(tmp_path / "missing.txt")
+        inputs[flag] = missing
+        if command == "match":
+            argv = ["match", "--embeddings", inputs["--embeddings"],
+                    "--commands", inputs["--commands"], "--text", "move forward"]
+        else:
+            argv = ["run", "--model", model_path, "--frames", small_data,
+                    *[v for item in inputs.items() for v in item]]
+        replays = []
+        monkeypatch.setattr(dispatch, "run_gesture_stream",
+                            lambda *a, **kw: replays.append(a))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}: {missing}" in err
+        assert replays == []
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -362,6 +405,7 @@ FLAG_RANGE_CASES = [
     ("train", ["--kind", "svm", "--c", "inf"], "C must be > 0"),
     ("train", ["--kind", "svm", "--max-epochs", "0"], "max_epochs must be >= 1"),
     ("train", ["--kind", "svm", "--tolerance", "0"], "tolerance must be > 0"),
+    ("train", ["--kind", "svm", "--tolerance", "inf"], "tolerance must be > 0"),
     ("train", ["--kind", "mlp", "--hidden", "0"], "hidden_units must be >= 1"),
     ("train", ["--kind", "mlp", "--lr", "-1"], "learning_rate must be > 0"),
     ("train", ["--kind", "mlp", "--lr", "inf"], "learning_rate must be > 0"),

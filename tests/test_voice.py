@@ -223,6 +223,18 @@ class TestJaro:
             assert 0.0 <= j <= 1.0
             assert j <= jw <= 1.0
 
+    def test_long_against_short_equals_reference_exactly(self):
+        # Few letters so characters repeat in both strings; a long s1 against
+        # a short s2 reaches the stop past len(s2) + window.
+        rng = random.Random(77)
+        alphabet = "abcé "
+        for _ in range(5000):
+            s1 = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
+            s2 = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 15)))
+            for a, b in ((s1, s2), (s2, s1)):
+                assert jaro(a, b) == reference_jaro(a, b), (a, b)
+                assert jaro_winkler(a, b) == reference_jaro_winkler(a, b), (a, b)
+
 
 class TestCommandList:
     def test_default_has_19_unique_commands(self):
@@ -337,3 +349,107 @@ class TestResolve:
         r2 = resolve_command("show schedule", commands, table)
         assert r1.matched == r2.matched
         assert r1.per_candidate == r2.per_candidate
+
+
+def oracle_resolve(transcript, commands, table):
+    """The per-command resolver: normalize each command phrase, then its mean
+    vector, cosine and Jaro-Winkler. Returns (matched, [(phrase, cos, jw)])."""
+    phrase = normalize_phrase(transcript)
+    tvec = phrase_vector(phrase, table)
+    scored = []
+    best_idx, best_total = 0, float("-inf")
+    for idx, cmd in enumerate(commands):
+        cmd_phrase = normalize_phrase(cmd.phrase)
+        cos = cosine_similarity(tvec, phrase_vector(cmd_phrase, table))
+        jw = jaro_winkler(phrase.canonical, cmd_phrase.canonical)
+        scored.append((cmd.phrase, cos, jw))
+        if cos + jw > best_total:
+            best_idx, best_total = idx, cos + jw
+    matched = None
+    if best_total > 1.0:
+        matched = (commands.commands[best_idx].action_id, commands.commands[best_idx].phrase)
+    return matched, scored
+
+
+ORACLE_TSV = (
+    "halt\thalt now\n"              # no token in the table: cosine 0
+    "walk_on\twalk forward\n"       # "walk" is added to the table after it is built
+    "repeat\tgo go go\n"            # a token repeated within one phrase
+    "dont\tDon't stop!\n"
+    "kitchen\tgo to kitchen\n"      # "kitchen" is removed after the table is built
+    "green\tseñal verde\n"
+    "zoom\tzoom\n"
+)
+
+
+def oracle_transcripts(commands, vocabulary, n, seed):
+    """Seeded mix: noisy exact phrases, OOV gibberish, empty or
+    punctuation-only input, 4-12-word utterances and non-ASCII text."""
+    rng = random.Random(seed)
+    phrases = [c.phrase for c in commands]
+    out = []
+    for k in range(n):
+        kind = k % 5
+        if kind == 0:
+            words = []
+            for w in rng.choice(phrases).split():
+                w = rng.choice((w.upper(), w.title(), w))
+                words.append(w + rng.choice(("", "", ",", "!", "?", "...")))
+            out.append(" " * rng.randint(0, 2) + (" " * rng.randint(1, 3)).join(words))
+        elif kind == 1:
+            out.append(" ".join(
+                "".join(rng.choice("bcdfghjkqxz") for _ in range(rng.randint(2, 8)))
+                + str(rng.randint(0, 9))
+                for _ in range(rng.randint(1, 3))))
+        elif kind == 2:
+            out.append("".join(rng.choice(" \t.,!?;:-") for _ in range(rng.randint(0, 6))))
+        elif kind == 3:
+            out.append(" ".join(rng.choice(vocabulary) for _ in range(rng.randint(4, 12))))
+        else:
+            out.append(" ".join(rng.choice(vocabulary + ["café", "ñandú", "größe", "ζoom",
+                                                         "señal", "verde", "日本"])
+                                for _ in range(rng.randint(1, 5))))
+    return out
+
+
+class TestResolverAgainstOracle:
+    def test_matches_oracle_on_seeded_transcripts(self, tmp_path):
+        path = str(tmp_path / "cmds.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(ORACLE_TSV)
+        command_lists = (default_command_list(), load_command_list(path))
+        rng = np.random.default_rng(11)
+        table = fixture_table(lift=rng.normal(0, 1, 16), stop=rng.normal(0, 1, 16),
+                              señal=rng.normal(0, 1, 16))
+        for commands in command_lists:
+            resolve_command("walk forward", commands, table)
+        # Edited after construction and use: resolve must read the table afresh.
+        table.entries["walk"] = table.entries["move"] * 0.5
+        table.entries["verde"] = rng.normal(0, 1, 16)
+        table.entries["café"] = rng.normal(0, 1, 16)
+        del table.entries["kitchen"]
+        vocabulary = sorted({w for c in command_lists for cmd in c for w in cmd.phrase.split()}
+                            | {"walk", "lift", "please", "the", "now", "xyzzy"})
+        near = []
+        checked = 0
+        for list_no, commands in enumerate(command_lists):
+            for text in oracle_transcripts(commands, vocabulary, 1200, seed=list_no):
+                matched, expect = oracle_resolve(text, commands, table)
+                result = resolve_command(text, commands, table)
+                assert result.matched == matched, text
+                assert [c.phrase for c in result.per_candidate] == [e[0] for e in expect]
+                for got, (_, cos, jw) in zip(result.per_candidate, expect):
+                    assert got.jaro_winkler == jw, text
+                    assert abs(got.cosine - cos) <= 1e-12, text
+                checked += 1
+                # A total within 1e-12 of the threshold or of the runner-up
+                # could flip on last-bit cosine changes unless its cosines are 0.
+                order = sorted(expect, key=lambda e: e[1] + e[2], reverse=True)
+                best, second = order[0], order[1]
+                at_threshold = abs(best[1] + best[2] - 1.0) <= 1e-12 and best[1]
+                tied = (best[1] + best[2] - (second[1] + second[2]) <= 1e-12
+                        and (best[1] or second[1]))
+                if at_threshold or tied:
+                    near.append(text)
+        assert checked >= 2000
+        assert near == []
