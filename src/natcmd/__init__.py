@@ -24,7 +24,6 @@ from .dataset import (
     LabeledDataset,
     SyntheticSpec,
     as_frame,
-    center_on_wrist,
     generate_synthetic_dataset,
     load_landmark_dataset,
     one_hot_encode,

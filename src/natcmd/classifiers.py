@@ -95,6 +95,8 @@ class GestureModel:
 
     def __post_init__(self):
         object.__setattr__(self, "label_set", tuple(self.label_set))
+        if len(set(self.label_set)) != len(self.label_set):
+            raise ModelError("label_set contains duplicates")
         params = {k: np.asarray(v, dtype=np.float64) for k, v in self.params.items()}
         _check_param_shapes(self.kind, params, len(self.label_set))
         for name, arr in params.items():
@@ -487,13 +489,16 @@ def load_model(path: str) -> GestureModel:
     params = doc.get("params")
     if not isinstance(params, dict):
         raise ModelError(f"{path}: params must be an object")
+    training_time_ms = doc.get("training_time_ms", 0.0)
+    if isinstance(training_time_ms, bool) or not isinstance(training_time_ms, (int, float)):
+        raise ModelError(f"{path}: training_time_ms must be a number")
     try:
         arrays = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
         return GestureModel(
             kind=kind,
             label_set=tuple(labels),
             params=arrays,
-            training_time_ms=float(doc.get("training_time_ms", 0.0)),
+            training_time_ms=float(training_time_ms),
         )
-    except (ModelError, ValueError) as exc:
+    except (ModelError, ValueError, OverflowError) as exc:
         raise ModelError(f"{path}: invalid model parameters ({exc})") from None

@@ -251,18 +251,14 @@ def _cmd_match(args) -> int:
 
 def _iter_replay_frames(path: str, clock: dispatch.ReplayClock):
     """Frames from a dataset file or a raw line feed, ticking the replay clock."""
-    if not os.path.exists(path):
-        raise NatcmdError(f"frame source not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with dataset._open_dataset_file(path, "frame source") as fh:
         first = fh.readline()
-    if first.startswith("label,"):
-        ds = dataset.load_landmark_dataset(path, format="csv")
-        rows = list(ds.frames)
-    elif first.lstrip().startswith("{"):
-        ds = dataset.load_landmark_dataset(path, format="jsonl")
-        rows = list(ds.frames)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
+        fh.seek(0)
+        if first.startswith("label,"):
+            rows = list(dataset._read_dataset(fh, "csv", path).frames)
+        elif first.lstrip().startswith("{"):
+            rows = list(dataset._read_dataset(fh, "jsonl", path).frames)
+        else:
             rows = [fields for _, fields in _raw_frame_lines(fh)]
     return clock.drive(rows, dispatch.REPLAY_FRAME_INTERVAL_MS)
 

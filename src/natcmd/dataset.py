@@ -21,8 +21,10 @@ pose and frames are the prototype plus Gaussian jitter.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -105,17 +107,6 @@ def as_frames(rows) -> np.ndarray:
         pass
     frames = [as_frame(row) for row in rows]
     return np.array(frames).reshape(len(frames), FRAME_SIZE)
-
-
-def center_on_wrist(frames: np.ndarray) -> np.ndarray:
-    """Subtract landmark 0 (the wrist) from every landmark of each frame.
-
-    Optional translation-invariance preprocessor; accepts a single frame of
-    shape (63,) or a batch of shape (N, 63) and returns the same shape.
-    """
-    arr = np.asarray(frames, dtype=np.float64)
-    pts = arr.reshape(*arr.shape[:-1], N_LANDMARKS, 3)
-    return (pts - pts[..., :1, :]).reshape(arr.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,26 +317,25 @@ def load_landmark_dataset(path: str, format: str | None = None) -> LabeledDatase
     with no data rows) raises DatasetError.
     """
     fmt = format or infer_format(path)
-    if fmt == "csv":
-        frames, labels = _read_csv(path)
-    elif fmt == "jsonl":
-        frames, labels = _read_jsonl(path)
-    else:
+    if fmt not in _READERS:
         raise DatasetError(f"unknown dataset format {fmt!r}")
-    if not frames:
-        raise DatasetError(f"{path}: empty dataset (no frames)")
-    return LabeledDataset(frames=np.array(frames), labels=tuple(labels))
+    with _open_dataset_file(path) as fh:
+        return _read_dataset(fh, fmt, path)
 
 
 def save_landmark_dataset(ds: LabeledDataset, path: str, format: str | None = None) -> None:
     """Write a dataset in the given (or inferred) format; inverse of the loader."""
     fmt = format or infer_format(path)
     if fmt == "csv":
+        # the bytes csv.writer writes: every label quoted by it once, and
+        # floats in repr, which never need quoting
+        prefix = {label: _csv_field(label) + "," for label in ds.label_set}
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for label, frame in zip(ds.labels, ds.frames):
-                writer.writerow([label] + [repr(v) for v in frame.tolist()])
+            csv.writer(fh).writerow(CSV_HEADER)
+            fh.writelines(
+                prefix[label] + ",".join(map(repr, frame.tolist())) + "\r\n"
+                for label, frame in zip(ds.labels, ds.frames)
+            )
     elif fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             for label, frame in zip(ds.labels, ds.frames):
@@ -355,48 +345,118 @@ def save_landmark_dataset(ds: LabeledDataset, path: str, format: str | None = No
         raise DatasetError(f"unknown dataset format {fmt!r}")
 
 
-def _open_dataset_file(path: str):
-    if not os.path.exists(path):
-        raise DatasetError(f"dataset file not found: {path}")
-    return open(path, "r", encoding="utf-8", newline="")
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it when other fields follow."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[: -len(",\r\n")]
 
 
-def _read_csv(path: str) -> tuple[list[np.ndarray], list[str]]:
-    frames: list[np.ndarray] = []
-    labels: list[str] = []
-    with _open_dataset_file(path) as fh:
-        reader = csv.reader(fh)
+@contextlib.contextmanager
+def _open_dataset_file(path: str, what: str = "dataset file"):
+    """Open a text input: a file that cannot be opened is a DatasetError
+    naming it, and bytes that are not UTF-8 a ParseError naming their line."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise DatasetError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise DatasetError(f"cannot read {what} {path}: {exc.strerror}") from None
+    with fh:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty dataset file") from None
-        if tuple(header) != CSV_HEADER:
-            unknown = [c for c in header if c not in CSV_HEADER]
-            detail = f"unknown columns {unknown}" if unknown else "wrong column order or count"
-            raise ParseError(1, f"bad CSV header ({detail})")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+            yield fh
+        except UnicodeDecodeError:
+            line = _first_undecodable_line(path)
+            raise ParseError(line, f"{what} {path} is not valid UTF-8") from None
+
+
+def _first_undecodable_line(path: str) -> int:
+    lineno = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return lineno
+
+
+def _read_dataset(fh, fmt: str, path: str) -> LabeledDataset:
+    """The dataset in the open file ``fh``, in format ``fmt``."""
+    frames, labels = _READERS[fmt](fh, path)
+    if not labels:
+        raise DatasetError(f"{path}: empty dataset (no frames)")
+    return LabeledDataset(frames=frames, labels=tuple(labels))
+
+
+def _read_csv(fh, path: str):
+    """Parse a plain CSV file in one numpy pass; any file that pass does
+    not read exactly goes to the per-row reader, which names the bad line."""
+    rows = csv.reader(fh)
+    header = next(rows, None)
+    if header is None:
+        raise DatasetError(f"{path}: empty dataset file")
+    if tuple(header) != CSV_HEADER:
+        unknown = [c for c in header if c not in CSV_HEADER]
+        detail = f"unknown columns {unknown}" if unknown else "wrong column order or count"
+        raise ParseError(1, f"bad CSV header ({detail})")
+    labels: list[str] = []
+    try:
+        frames = np.loadtxt(
+            _coordinate_text(fh, labels),
+            delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+        )
+        if frames.shape == (len(labels), FRAME_SIZE) and np.isfinite(frames).all():
+            return frames, labels
+    except ValueError:
+        pass
+    fh.seek(0)
+    rows = csv.reader(fh)
+    next(rows)
+    frames, labels = [], []
+    for lineno, row in enumerate(rows, start=2):
+        if row:
             labels.append(row[0])
             frames.append(frame_from_fields(row[1:], lineno))
     return frames, labels
 
 
-def _read_jsonl(path: str) -> tuple[list[np.ndarray], list[str]]:
+def _coordinate_text(lines, labels: list[str]):
+    """The coordinate text of each line, its label appended to ``labels``.
+
+    Raises ValueError at a line a plain split could misread: one with no
+    coordinate text (numpy skips empty lines), a quote (csv quoting), or one
+    of \\x1c-\\x1f, which numpy's parser skips as whitespace where float()
+    rejects it.
+    """
+    for line in lines:
+        label, _, coords = line.partition(",")
+        if (not coords.strip() or '"' in line or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line):
+            raise ValueError("line needs the csv module")
+        labels.append(label)
+        yield coords
+    if not labels:
+        raise ValueError("no data rows")  # numpy would warn
+
+
+def _read_jsonl(fh, path: str) -> tuple[list[np.ndarray], list[str]]:
     frames: list[np.ndarray] = []
     labels: list[str] = []
-    with _open_dataset_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or set(obj) != {"label", "coords"}:
-                raise ParseError(lineno, 'object must have exactly "label" and "coords"')
-            if not isinstance(obj["label"], str):
-                raise ParseError(lineno, "label must be a string")
-            labels.append(obj["label"])
-            frames.append(frame_from_fields(obj["coords"], lineno))
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict) or set(obj) != {"label", "coords"}:
+            raise ParseError(lineno, 'object must have exactly "label" and "coords"')
+        if not isinstance(obj["label"], str):
+            raise ParseError(lineno, "label must be a string")
+        labels.append(obj["label"])
+        frames.append(frame_from_fields(obj["coords"], lineno))
     return frames, labels
+
+
+_READERS = {"csv": _read_csv, "jsonl": _read_jsonl}

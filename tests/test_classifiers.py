@@ -410,3 +410,8 @@ class TestSerialization:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ModelError):
             load_model(str(tmp_path / "absent.json"))
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ModelError, match="label_set contains duplicates"):
+            GestureModel(kind="svm", label_set=("a", "b", "a"),
+                         params={"weights": np.zeros((3, FRAME_SIZE + 1))})

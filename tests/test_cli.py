@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import natcmd.dataset
 from natcmd import SyntheticSpec, dispatch, synthetic_prototypes
 from natcmd.cli import run_cli
 
@@ -443,3 +444,111 @@ class TestFlagRanges:
                            "--split", "0.5", "-o", str(tmp_path / "m.json"))
         assert code == 2
         assert "needs at least 2 per label" in err
+
+
+@pytest.fixture()
+def model_path(small_data, tmp_path, capsys):
+    path = str(tmp_path / "m.json")
+    code, _, _ = run(capsys, "train", "--kind", "svm", "--data", small_data, "-o", path)
+    assert code == 0
+    return path
+
+
+class TestUnreadableDataFiles:
+    """A dataset or frame file that cannot be read is a data error (exit 2)
+    that names the path, or for bytes that are not UTF-8, the line."""
+
+    COMMANDS = ["train", "evaluate", "run", "run raw lines"]
+
+    @staticmethod
+    def argv(command, data, model_path, tmp_path):
+        if command == "train":
+            return ["train", "--kind", "svm", "--data", data, "-o", str(tmp_path / "o.json")]
+        if command == "evaluate":
+            return ["evaluate", "--model", model_path, "--data", data]
+        return ["run", "--model", model_path, "--frames", data]
+
+    @staticmethod
+    def data_lines(command, small_data):
+        with open(small_data, "rb") as fh:
+            lines = fh.read().split(b"\r\n")
+        if command == "run raw lines":  # 63 numbers a line, no header
+            return [b""] + [line.partition(b",")[2] for line in lines[1:]]
+        return lines
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_directory_exits_2(self, command, model_path, tmp_path, capsys):
+        data = tmp_path / "dir.csv"
+        data.mkdir()
+        code, out, err = run(capsys, *self.argv(command, str(data), model_path, tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ")
+        assert f"{data}: Is a directory" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_read_permission_exits_2(self, command, model_path, tmp_path, capsys,
+                                        small_data, monkeypatch):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        # the test may run as root, which chmod does not stop
+        monkeypatch.setattr(natcmd.dataset, "open", denied, raising=False)
+        code, out, err = run(capsys, *self.argv(command, small_data, model_path, tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ")
+        assert f"{small_data}: Permission denied" in err
+
+    # line 3 is in the first block the text layer decodes; line 60 is not
+    @pytest.mark.parametrize("bad_line", [3, 60])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_utf8_names_the_line(self, command, bad_line, model_path, tmp_path,
+                                     capsys, small_data):
+        lines = self.data_lines(command, small_data)
+        lines[bad_line - 1] = b"\xff" + lines[bad_line - 1]
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"\n".join(lines))
+        code, out, err = run(capsys, *self.argv(command, str(data), model_path, tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {bad_line}: ")
+        assert f"{data} is not valid UTF-8" in err
+
+
+class TestBadModelFiles:
+    @staticmethod
+    def predict_with(doc, tmp_path, capsys):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        frame = tmp_path / "frame.txt"
+        frame.write_text(",".join(["0.5"] * 63) + "\n", encoding="utf-8")
+        return run(capsys, "predict", "--model", str(path), "--frame", str(frame))
+
+    @pytest.mark.parametrize("value", [None, "12", True, [1.0]],
+                             ids=["null", "string", "bool", "list"])
+    def test_training_time_not_a_number_exits_2(self, value, model_path, tmp_path, capsys):
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["training_time_ms"] = value
+        code, out, err = self.predict_with(doc, tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert "training_time_ms must be a number" in err
+
+    @pytest.mark.parametrize("field", ["training_time_ms", "weights"])
+    def test_int_too_large_for_float64_exits_2(self, field, model_path, tmp_path, capsys):
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if field == "weights":
+            doc["params"]["weights"][0][0] = 10**400
+        else:
+            doc["training_time_ms"] = 10**400
+        code, out, err = self.predict_with(doc, tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert "invalid model parameters" in err
+
+    def test_duplicate_labels_exit_2(self, model_path, tmp_path, capsys):
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["labels"] = ["a"] * 15
+        doc["params"]["weights"] = np.zeros((15, 64)).tolist()
+        code, out, err = self.predict_with(doc, tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert "label_set contains duplicates" in err

@@ -1,3 +1,6 @@
+import csv
+import random
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from natcmd import (
     LabeledDataset,
     SyntheticSpec,
     as_frame,
-    center_on_wrist,
     generate_synthetic_dataset,
     load_landmark_dataset,
     one_hot_encode,
@@ -49,21 +51,6 @@ class TestFrames:
     def test_non_numeric_rejected(self):
         with pytest.raises(DatasetError):
             as_frame(["x"] * FRAME_SIZE)
-
-    def test_center_on_wrist_zeroes_landmark0(self):
-        frame = np.random.default_rng(3).uniform(0, 1, FRAME_SIZE)
-        centered = center_on_wrist(frame)
-        np.testing.assert_allclose(centered[:3], 0.0)
-        # landmark 5 relative position preserved
-        np.testing.assert_allclose(
-            centered[15:18], frame[15:18] - frame[0:3]
-        )
-
-    def test_center_on_wrist_batch(self):
-        frames = np.random.default_rng(4).uniform(0, 1, (5, FRAME_SIZE))
-        centered = center_on_wrist(frames)
-        assert centered.shape == frames.shape
-        np.testing.assert_allclose(centered[:, 0:3], 0.0)
 
 
 class TestLabeledDataset:
@@ -319,3 +306,132 @@ class TestFileIO:
             path = str(tmp_path / name)
             save_landmark_dataset(ds, path)
             assert_datasets_equal(load_landmark_dataset(path), ds)
+
+
+def read_outcome(path):
+    """What loading ``path`` gives: its frame bytes and labels, or the
+    type and message of the error it raises."""
+    try:
+        ds = load_landmark_dataset(path, format="csv")
+    except DatasetError as exc:
+        return type(exc), str(exc)
+    return ds.frames.tobytes(), ds.labels
+
+
+class TestCsvReaderAgainstRowReader:
+    """The numpy pass over a CSV file must read exactly what the per-row
+    csv reader reads, or leave the file to it."""
+
+    LABELS = ("look_up", "two", "neutral")
+    TOKENS = ["1_0", "١", "٣.٥", "\x1c1", " 1.5 ", "+1", ".5", "1e5",
+              "nan", "inf", "1e400", "", "abc", "0x1", "1d5", " 1"]
+    FLIP_CHARS = "0123456789.-+eE_x, \t\x1c١\r\n\""
+
+    def base_rows(self, rng):
+        return [
+            [rng.choice(self.LABELS)]
+            + [repr(rng.uniform(-2.0, 2.0)) for _ in range(FRAME_SIZE)]
+            for _ in range(rng.randint(1, 5))
+        ]
+
+    def mutate(self, rng, rows):
+        """(header line, data lines, line ending, BOM) after one seeded mutation."""
+        header = ",".join(CSV_HEADER)
+        lines = [",".join(row) for row in rows]
+        newline, bom = "\n", ""
+        i = rng.randrange(len(lines))
+        kind = rng.randrange(12)
+        if kind == 0:  # byte flip inside the coordinates
+            start = len(rows[i][0]) + 1
+            j = rng.randrange(start, len(lines[i]))
+            lines[i] = lines[i][:j] + rng.choice(self.FLIP_CHARS) + lines[i][j + 1:]
+        elif kind == 1:  # dropped field
+            lines[i] = ",".join(rows[i][:-1])
+        elif kind == 2:  # extra field
+            lines[i] += "," + repr(rng.random())
+        elif kind == 3:  # blank or whitespace-only line
+            lines.insert(i, rng.choice(["", " ", "\t"]))
+        elif kind == 4:
+            newline = rng.choice(["\r\n", "\r"])
+        elif kind == 5:  # quoted label, holding a comma or a quote
+            quoted = rng.choice(['"{}"', '"{},x"', '"{}""q"', '"{},1.5"'])
+            lines[i] = quoted.format(rows[i][0]) + "," + ",".join(rows[i][1:])
+        elif kind == 6:  # a token float() and numpy's parser may read differently
+            fields = list(rows[i])
+            fields[rng.randrange(1, len(fields))] = rng.choice(self.TOKENS)
+            lines[i] = ",".join(fields)
+        elif kind == 7:
+            bom = "\ufeff"
+        elif kind == 8:  # bad header
+            header = rng.choice([header.replace("x0", "q0"), "label,x0", header + ",z21"])
+        elif kind == 9:  # a label with no coordinates
+            lines[i] = rows[i][0] + rng.choice(["", ","])
+        elif kind == 10:  # label only whitespace, or holding a separator numpy skips
+            lines[i] = rng.choice([" ", "a\x1cb", "sp ace"]) + lines[i][len(rows[i][0]):]
+        return header, lines, newline, bom
+
+    @pytest.mark.filterwarnings("error")
+    def test_fast_pass_matches_row_reader(self, tmp_path, monkeypatch):
+        rng = random.Random(20240607)
+        real_loadtxt = np.loadtxt
+        fast_reads = []
+
+        def counting_loadtxt(*args, **kwargs):
+            frames = real_loadtxt(*args, **kwargs)
+            fast_reads.append(frames.shape)
+            return frames
+
+        def no_loadtxt(*args, **kwargs):
+            raise ValueError("numpy pass disabled")
+
+        fast_ok = 0
+        for case in range(400):
+            header, lines, newline, bom = self.mutate(rng, self.base_rows(rng))
+            path = tmp_path / f"case{case}.csv"
+            text = bom + newline.join([header] + lines) + rng.choice(["", newline])
+            path.write_bytes(text.encode("utf-8"))
+            monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+            fast_reads.clear()
+            fast = read_outcome(str(path))
+            monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+            rows = read_outcome(str(path))
+            assert fast == rows, (case, text)
+            if fast_reads and isinstance(fast[0], bytes):
+                fast_ok += 1
+        assert fast_ok > 100  # so the comparison is not all fallback
+
+    @staticmethod
+    def one_row_file(tmp_path, token):
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(CSV_HEADER) + "\na," + ",".join([token] * FRAME_SIZE) + "\n",
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("token", ["1_0", "١", "٣.٥"])
+    def test_tokens_numpy_rejects_reach_the_row_reader(self, tmp_path, token):
+        assert load_landmark_dataset(self.one_row_file(tmp_path, token)).frames[0, 0] == float(token)
+
+    @pytest.mark.parametrize("token", ["\x1c1", "1\x1d", "\x1e1", "1\x1f"])
+    def test_separators_numpy_skips_stay_bad_coordinates(self, tmp_path, token):
+        with pytest.raises(ParseError, match="line 2: frame is not numeric"):
+            load_landmark_dataset(self.one_row_file(tmp_path, token))
+
+
+class TestCsvWriter:
+    LABELS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "ünïcødé ✋",
+              "", " lead", "trail "]
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        labels = tuple(self.LABELS[i % len(self.LABELS)] for i in range(27))
+        ds = LabeledDataset(frames=rng.normal(0, 1e3, (27, FRAME_SIZE)) ** 3, labels=labels)
+        path = tmp_path / "new.csv"
+        save_landmark_dataset(ds, str(path))
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for label, frame in zip(ds.labels, ds.frames):
+                writer.writerow([label] + [repr(v) for v in frame.tolist()])
+        assert path.read_bytes() == ref.read_bytes()
+        assert_datasets_equal(load_landmark_dataset(str(path)), ds)

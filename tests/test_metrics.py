@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from natcmd import (
+    FRAME_SIZE,
     ConfusionMatrix,
+    GestureModel,
     LabeledDataset,
+    MlpConfig,
     SvmConfig,
     SyntheticSpec,
     accuracy,
@@ -14,8 +17,10 @@ from natcmd import (
     macro_precision,
     macro_recall,
     predict,
+    predict_batch,
     report_to_dict,
     train_linear_svm,
+    train_mlp,
 )
 from natcmd.metrics import render_report
 from natcmd.errors import MetricError
@@ -223,3 +228,63 @@ class TestEvaluateModel:
         assert doc["confusion"] == report.confusion.counts.tolist()
         text = render_report(report)
         assert "accuracy" in text and "a" in text
+
+
+def evaluation_oracle(model, test):
+    """Every metric from one Prediction per frame, as predict_batch gives them."""
+    predictions = predict_batch(model, test.frames)
+    cm = confusion_matrix(test.labels, [p.label for p in predictions], model.label_set)
+    p, r = macro_precision(cm), macro_recall(cm)
+    return cm, (accuracy(cm), p, r, f1(p, r))
+
+
+def zero_model(kind, label_set):
+    """Every frame scores the same on every label: an exact tie."""
+    k = len(label_set)
+    if kind == "svm":
+        params = {"weights": np.zeros((k, FRAME_SIZE + 1))}
+    else:
+        params = {"w1": np.zeros((FRAME_SIZE, 4)), "b1": np.zeros(4),
+                  "w2": np.zeros((4, k)), "b2": np.zeros(k)}
+    return GestureModel(kind=kind, label_set=label_set, params=params)
+
+
+class TestEvaluateAgainstPredictBatch:
+    LABELS = ("a", "b", "c", "d")
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        # trained on one seed's prototypes, scored on another's: many errors
+        train = generate_synthetic_dataset(SyntheticSpec(self.LABELS, 40, 0.01, seed=8))
+        test = generate_synthetic_dataset(SyntheticSpec(self.LABELS, 150, 0.05, seed=9))
+        models = {
+            "svm": train_linear_svm(train, SvmConfig(seed=8)),
+            "mlp": train_mlp(train, MlpConfig(epochs=3, seed=8)),
+            # a 5th class with no test frames, labels out of sorted order
+            "svm over more labels": GestureModel(
+                kind="svm", label_set=("d", "e", "a", "c", "b"),
+                params={"weights": np.random.default_rng(4).normal(
+                    size=(5, FRAME_SIZE + 1))},
+            ),
+            "svm tie": zero_model("svm", ("c", "a", "b", "d")),
+            "mlp tie": zero_model("mlp", ("b", "a", "d", "c")),
+        }
+        return test, models
+
+    @pytest.mark.parametrize(
+        "name", ["svm", "mlp", "svm over more labels", "svm tie", "mlp tie"])
+    def test_same_confusion_and_metrics(self, data, name):
+        test, models = data
+        model = models[name]
+        report = evaluate_model(model, test)
+        cm, values = evaluation_oracle(model, test)
+        assert report.confusion.label_set == cm.label_set
+        np.testing.assert_array_equal(report.confusion.counts, cm.counts)
+        assert (report.accuracy, report.macro_precision, report.macro_recall,
+                report.f1) == values
+        assert 0 < report.mean_prediction_time_ms < 1000
+        if name.endswith("tie"):
+            # ties resolve to the lowest label index: every frame gets label 0
+            assert report.confusion.counts[:, 0].sum() == len(test)
+        else:
+            assert 0 < np.trace(report.confusion.counts) < len(test)
