@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .dataset import FRAME_SIZE, LabeledDataset, as_frame, as_frames, one_hot_encode
+from .dataset import FRAME_SIZE, LabeledDataset, _open_input, as_frame, as_frames, one_hot_encode
 from .errors import ModelError, TrainingError
 
 SVM_KIND = "svm"
@@ -465,13 +464,12 @@ def save_model(model: GestureModel, path: str) -> None:
 
 
 def load_model(path: str) -> GestureModel:
-    if not os.path.exists(path):
-        raise ModelError(f"model file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"{path}: corrupt model file ({exc.msg})") from exc
+    with _open_input(path, "model file", ModelError) as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+        raise ModelError(f"{path}: corrupt model file ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: model document must be a JSON object")
     version = doc.get("version")

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from . import classifiers, dataset, dispatch, metrics, voice
-from .errors import NatcmdError
+from .errors import DatasetError, NatcmdError
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -208,10 +208,9 @@ def _raw_frame_lines(fh):
 
 
 def _read_frame_file(path: str):
-    if not os.path.exists(path):
-        raise NatcmdError(f"frame file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, fields in _raw_frame_lines(fh):
+    """The frame on the first non-blank line; the whole file must be UTF-8."""
+    with dataset._open_input(path, "frame file", NatcmdError) as fh:
+        for lineno, fields in list(_raw_frame_lines(fh)):
             return dataset.frame_from_fields(fields, lineno)
     raise NatcmdError(f"{path}: no frame line found")
 
@@ -251,7 +250,7 @@ def _cmd_match(args) -> int:
 
 def _iter_replay_frames(path: str, clock: dispatch.ReplayClock):
     """Frames from a dataset file or a raw line feed, ticking the replay clock."""
-    with dataset._open_dataset_file(path, "frame source") as fh:
+    with dataset._open_input(path, "frame source", DatasetError) as fh:
         first = fh.readline()
         fh.seek(0)
         if first.startswith("label,"):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError, ParseError
+from .errors import DatasetError, NatcmdError, ParseError
 
 N_LANDMARKS = 21
 FRAME_SIZE = 3 * N_LANDMARKS  # x, y, z per landmark
@@ -319,7 +319,7 @@ def load_landmark_dataset(path: str, format: str | None = None) -> LabeledDatase
     fmt = format or infer_format(path)
     if fmt not in _READERS:
         raise DatasetError(f"unknown dataset format {fmt!r}")
-    with _open_dataset_file(path) as fh:
+    with _open_input(path, "dataset file", DatasetError) as fh:
         return _read_dataset(fh, fmt, path)
 
 
@@ -353,32 +353,33 @@ def _csv_field(text: str) -> str:
 
 
 @contextlib.contextmanager
-def _open_dataset_file(path: str, what: str = "dataset file"):
-    """Open a text input: a file that cannot be opened is a DatasetError
-    naming it, and bytes that are not UTF-8 a ParseError naming their line."""
+def _open_input(path: str, what: str, error: type[NatcmdError]):
+    """Open the text input ``path`` as UTF-8, line endings as written (the csv
+    module needs them). A file that cannot be opened is an ``error`` naming
+    it; bytes that are not UTF-8 a ParseError naming their line, if ``error``
+    admits one, else an ``error`` with the same text."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
-        raise DatasetError(f"{what} not found: {path}") from None
+        raise error(f"{what} not found: {path}") from None
     except OSError as exc:
-        raise DatasetError(f"cannot read {what} {path}: {exc.strerror}") from None
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
     with fh:
         try:
             yield fh
         except UnicodeDecodeError:
-            line = _first_undecodable_line(path)
-            raise ParseError(line, f"{what} {path} is not valid UTF-8") from None
+            exc = ParseError(_first_undecodable_line(path), f"{what} {path} is not valid UTF-8")
+            raise (exc if isinstance(exc, error) else error(str(exc))) from None
 
 
 def _first_undecodable_line(path: str) -> int:
-    lineno = 0
+    """The line (split at LF, CRLF or CR) of the first byte that is not UTF-8."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    return lineno
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len(data[: exc.start + 1].splitlines())
 
 
 def _read_dataset(fh, fmt: str, path: str) -> LabeledDataset:
@@ -392,7 +393,7 @@ def _read_dataset(fh, fmt: str, path: str) -> LabeledDataset:
 def _read_csv(fh, path: str):
     """Parse a plain CSV file in one numpy pass; any file that pass does
     not read exactly goes to the per-row reader, which names the bad line."""
-    rows = csv.reader(fh)
+    rows = _csv_rows(fh)
     header = next(rows, None)
     if header is None:
         raise DatasetError(f"{path}: empty dataset file")
@@ -411,7 +412,7 @@ def _read_csv(fh, path: str):
     except ValueError:
         pass
     fh.seek(0)
-    rows = csv.reader(fh)
+    rows = _csv_rows(fh)
     next(rows)
     frames, labels = [], []
     for lineno, row in enumerate(rows, start=2):
@@ -419,6 +420,15 @@ def _read_csv(fh, path: str):
             labels.append(row[0])
             frames.append(frame_from_fields(row[1:], lineno))
     return frames, labels
+
+
+def _csv_rows(fh):
+    """csv.reader(fh), raising a ParseError for a line the csv module rejects."""
+    rows = csv.reader(fh)
+    try:
+        yield from rows
+    except csv.Error as exc:
+        raise ParseError(rows.line_num, str(exc)) from None
 
 
 def _coordinate_text(lines, labels: list[str]):
@@ -448,8 +458,8 @@ def _read_jsonl(fh, path: str) -> tuple[list[np.ndarray], list[str]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+            raise ParseError(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(obj, dict) or set(obj) != {"label", "coords"}:
             raise ParseError(lineno, 'object must have exactly "label" and "coords"')
         if not isinstance(obj["label"], str):

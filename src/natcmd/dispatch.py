@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 from .classifiers import MODEL_KINDS, GestureModel, predict
-from .dataset import as_frame  # noqa: F401 -- unused; bench/spans.py rebinds it by name
+from .dataset import _open_input, as_frame  # noqa: F401 -- as_frame: bench/spans.py rebinds it
 from .errors import DatasetError, StreamError
 from .voice import CommandList, EmbeddingTable, resolve_command
 
@@ -100,10 +99,8 @@ class CannedTranscriptionProvider:
         poll_interval_ms: int = DEFAULT_POLL_INTERVAL_MS,
         clock: "ReplayClock | None" = None,
     ) -> "CannedTranscriptionProvider":
-        if not os.path.exists(path):
-            raise StreamError(f"transcript file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            polls = [line.rstrip("\n") or None for line in fh]
+        with _open_input(path, "transcript file", StreamError) as fh:
+            polls = [line.rstrip("\r\n") or None for line in fh]
         return cls(polls, poll_interval_ms=poll_interval_ms, clock=clock)
 
     def __iter__(self) -> Iterator[str | None]:
@@ -297,8 +294,8 @@ def encode_event(ev: CommandEvent) -> str:
 def decode_event(line: str) -> CommandEvent:
     try:
         doc = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise StreamError(f"invalid event line: {exc.msg}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+        raise StreamError(f"invalid event line: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(doc, dict) or tuple(doc.keys()) != _EVENT_KEYS:
         raise StreamError(f"event object must have keys {_EVENT_KEYS} in order")
     if doc["type"] != "command":

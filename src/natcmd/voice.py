@@ -15,12 +15,12 @@ ignored. Ties break toward the earlier command in the list.
 from __future__ import annotations
 
 import functools
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import _open_input
 from .errors import VoiceError
 
 WINKLER_PREFIX_SCALE = 0.1
@@ -110,11 +110,9 @@ def load_embeddings(path: str) -> EmbeddingTable:
     a header and skipped. Later duplicates of a word replace earlier ones
     with a warning; a dimension mismatch is an error naming the line.
     """
-    if not os.path.exists(path):
-        raise VoiceError(f"embedding table not found: {path}")
     entries: dict[str, np.ndarray] = {}
     dimension: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path, "embedding table", VoiceError) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -300,17 +298,14 @@ def default_command_list() -> CommandList:
 
 def load_command_list(path: str) -> CommandList:
     """Read ``action_id<TAB>phrase`` lines into a CommandList."""
-    if not os.path.exists(path):
-        raise VoiceError(f"command list not found: {path}")
     commands = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path, "command list", VoiceError) as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip():
+            if not line.strip():
                 continue
-            if "\t" not in stripped:
+            if "\t" not in line:
                 raise VoiceError(f"{path} line {lineno}: expected action_id<TAB>phrase")
-            action_id, phrase = stripped.split("\t", 1)
+            action_id, phrase = line.split("\t", 1)
             if not action_id or not phrase.strip():
                 raise VoiceError(f"{path} line {lineno}: empty action_id or phrase")
             commands.append(Command(phrase=phrase.strip(), action_id=action_id))

@@ -1,11 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+import natcmd.cli
 import natcmd.dataset
 from natcmd import SyntheticSpec, dispatch, synthetic_prototypes
 from natcmd.cli import run_cli
+from natcmd.errors import ModelError, NatcmdError, StreamError, VoiceError
 
 
 def run(capsys, *argv):
@@ -489,6 +492,8 @@ class TestUnreadableDataFiles:
     def test_no_read_permission_exits_2(self, command, model_path, tmp_path, capsys,
                                         small_data, monkeypatch):
         def denied(path, *args, **kwargs):
+            if path != small_data:
+                return open(path, *args, **kwargs)
             raise PermissionError(13, "Permission denied", path)
 
         # the test may run as root, which chmod does not stop
@@ -544,6 +549,19 @@ class TestBadModelFiles:
         assert (code, out) == (2, "")
         assert "invalid model parameters" in err
 
+    def test_int_past_digit_limit_exits_2(self, model_path, tmp_path, capsys):
+        # json raises a plain ValueError for an int over sys.get_int_max_str_digits()
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["training_time_ms"] = "HUGE"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "9" * 5000), encoding="utf-8")
+        frame = tmp_path / "frame.txt"
+        frame.write_text(",".join(["0.5"] * 63) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "predict", "--model", str(path), "--frame", str(frame))
+        assert (code, out) == (2, "")
+        assert f"error: {path}: corrupt model file (Exceeds the limit" in err
+
     def test_duplicate_labels_exit_2(self, model_path, tmp_path, capsys):
         with open(model_path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -552,3 +570,161 @@ class TestBadModelFiles:
         code, out, err = self.predict_with(doc, tmp_path, capsys)
         assert (code, out) == (2, "")
         assert "label_set contains duplicates" in err
+
+
+class TestUnreadableInputFiles:
+    """Every other input -- model, frame file, embedding table, command list,
+    transcripts -- that cannot be read is a data error (exit 2) that names
+    the path, or for bytes that are not UTF-8, the line."""
+
+    # "command --flag": (what the message calls the file, library reader, its error)
+    READERS = {
+        "predict --model": ("model file", natcmd.classifiers.load_model, ModelError),
+        "predict --frame": ("frame file", natcmd.cli._read_frame_file, NatcmdError),
+        "match --embeddings": ("embedding table", natcmd.voice.load_embeddings, VoiceError),
+        "match --commands": ("command list", natcmd.voice.load_command_list, VoiceError),
+        "run --transcripts": ("transcript file", dispatch.CannedTranscriptionProvider.from_file,
+                              StreamError),
+    }
+    FLAGS = {"predict": ["--model", "--frame"],
+             "match": ["--embeddings", "--commands", "--text"],
+             "run": ["--transcripts", "--embeddings", "--commands"]}
+
+    @pytest.fixture()
+    def inputs(self, model_path, embeddings_file, tmp_path):
+        files = {"--frame": ",".join(["0.5"] * 63) + "\n",
+                 "--commands": "look_up\tlook up\nmove_forward\tmove forward\n",
+                 "--transcripts": "move forward\n\nlook up\n"}
+        for flag, text in files.items():
+            (tmp_path / flag[2:]).write_text(text, encoding="utf-8")
+        return {"--model": model_path, "--embeddings": embeddings_file, "--text": "move forward",
+                **{flag: str(tmp_path / flag[2:]) for flag in files}}
+
+    def run_with(self, capsys, reader, inputs, path):
+        command, flag = reader.split()
+        inputs = {**inputs, flag: str(path)}
+        return run(capsys, command, *[v for f in self.FLAGS[command] for v in (f, inputs[f])])
+
+    @staticmethod
+    def bad_utf8_copy(src, where, tmp_path):
+        """A copy of ``src`` padded with 10,000 blank lines, which every
+        reader skips or allows, with byte 0xff put on line 1 or on the last
+        line, which lies past the first block the text layer decodes.
+        Returns its path and the bad line."""
+        with open(src, "rb") as fh:
+            lines = (fh.read() + b"\n" * 10_000).split(b"\n")
+        line = 1 if where == "line 1" else len(lines) - 1
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\n".join(lines))
+        return path, line
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_directory_exits_2(self, reader, inputs, tmp_path, capsys):
+        path = tmp_path / "dir.txt"
+        path.mkdir()
+        code, out, err = self.run_with(capsys, reader, inputs, path)
+        assert (code, out) == (2, "")
+        what = self.READERS[reader][0]
+        assert err.startswith(f"error: cannot read {what} {path}: Is a directory")
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_no_read_permission_exits_2(self, reader, inputs, capsys, monkeypatch):
+        denied_path = inputs[reader.split()[1]]
+
+        def denied(path, *args, **kwargs):
+            if path != denied_path:
+                return open(path, *args, **kwargs)
+            raise PermissionError(13, "Permission denied", path)
+
+        # the test may run as root, which chmod does not stop
+        monkeypatch.setattr(natcmd.dataset, "open", denied, raising=False)
+        code, out, err = self.run_with(capsys, reader, inputs, denied_path)
+        assert (code, out) == (2, "")
+        what = self.READERS[reader][0]
+        assert err.startswith(f"error: cannot read {what} {denied_path}: Permission denied")
+
+    @pytest.mark.parametrize("where", ["line 1", "past the first block"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_utf8_names_the_line(self, reader, where, inputs, tmp_path, capsys):
+        path, line = self.bad_utf8_copy(inputs[reader.split()[1]], where, tmp_path)
+        code, out, err = self.run_with(capsys, reader, inputs, path)
+        assert (code, out) == (2, "")
+        what = self.READERS[reader][0]
+        assert err == f"error: line {line}: {what} {path} is not valid UTF-8\n"
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_library_reader_raises_its_error(self, reader, inputs, tmp_path):
+        what, read, error = self.READERS[reader]
+        directory = tmp_path / "dir.txt"
+        directory.mkdir()
+        with pytest.raises(error, match=re.escape(f"cannot read {what} {directory}: ")):
+            read(str(directory))
+        path, line = self.bad_utf8_copy(inputs[reader.split()[1]], "past the first block",
+                                        tmp_path)
+        with pytest.raises(error, match=re.escape(f"line {line}: {what} {path} is not valid")):
+            read(str(path))
+
+
+class TestLineEndings:
+    """Every reader parses a file with CRLF or CR line endings as it parses
+    the same file with LF endings."""
+
+    @staticmethod
+    def files(tmp_path):
+        """name: (file name, LF text, the reader's parse as plain data)."""
+        ds = natcmd.generate_synthetic_dataset(
+            SyntheticSpec(label_set=("a", "b"), frames_per_label=2, seed=4))
+        natcmd.save_model(natcmd.train_linear_svm(ds, natcmd.SvmConfig(seed=1)),
+                          str(tmp_path / "m.json"))
+        with open(tmp_path / "m.json", encoding="utf-8") as fh:
+            model_text = json.dumps(json.load(fh), indent=1) + "\n"
+        frame_lines = "".join(",".join(map(repr, f)) + "\n\n" for f in ds.frames.tolist())
+        texts = {}
+        for fmt in ("csv", "jsonl"):
+            natcmd.save_landmark_dataset(ds, str(tmp_path / f"d.{fmt}"))
+            with open(tmp_path / f"d.{fmt}", encoding="utf-8") as fh:
+                texts[fmt] = fh.read()  # universal newlines: LF
+
+        def dataset(path):
+            ds = natcmd.load_landmark_dataset(path)
+            return ds.labels, ds.frames.tolist()
+
+        def embeddings(path):
+            table = natcmd.load_embeddings(path)
+            return table.dimension, {w: v.tolist() for w, v in table.entries.items()}
+
+        def model(path):
+            m = natcmd.load_model(path)
+            return m.kind, m.label_set, {k: v.tolist() for k, v in m.params.items()}
+
+        return {
+            "embeddings": ("e.txt", "3 2\nmove 1 0\n\nforward 0 1.5\nlook 1 1\n", embeddings),
+            "command tsv": ("c.tsv", "look_up\tlook up\n\nmove_forward\t move forward \n",
+                            lambda p: [(c.action_id, c.phrase) for c in
+                                       natcmd.load_command_list(p)]),
+            "transcripts": ("t.txt", "move forward\n\n\nlook up\n \n\n",
+                            lambda p: list(dispatch.CannedTranscriptionProvider.from_file(p))),
+            "model json": ("m2.json", model_text, model),
+            "frame file": ("f.txt", "\n" + frame_lines,
+                           lambda p: natcmd.cli._read_frame_file(p).tolist()),
+            "dataset csv": ("d2.csv", texts["csv"], dataset),
+            "dataset jsonl": ("d2.jsonl", texts["jsonl"], dataset),
+            "raw replay lines": ("r.txt", frame_lines, lambda p: list(
+                natcmd.cli._iter_replay_frames(p, dispatch.ReplayClock()))),
+        }
+
+    NAMES = ["embeddings", "command tsv", "transcripts", "model json", "frame file",
+             "dataset csv", "dataset jsonl", "raw replay lines"]
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_same_parse_as_lf(self, name, ending, tmp_path):
+        file_name, text, parse = self.files(tmp_path)[name]
+        assert "\r" not in text
+        lf, other = tmp_path / "lf", tmp_path / "other"
+        lf.mkdir()
+        other.mkdir()
+        (lf / file_name).write_bytes(text.encode("utf-8"))
+        (other / file_name).write_bytes(text.replace("\n", ending).encode("utf-8"))
+        assert parse(str(other / file_name)) == parse(str(lf / file_name))

@@ -286,6 +286,38 @@ class TestFileIO:
         with pytest.raises(ParseError, match="line 1"):
             load_landmark_dataset(path, format="jsonl")
 
+    def test_jsonl_int_past_digit_limit_names_line(self, tmp_path):
+        # json raises a plain ValueError for an int over sys.get_int_max_str_digits()
+        path = tmp_path / "huge.jsonl"
+        coords = ", ".join(["9" * 5000] + ["0.5"] * (FRAME_SIZE - 1))
+        path.write_text('{"label": "a", "coords": [%s]}\n' % coords, encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1: invalid JSON: Exceeds the limit"):
+            load_landmark_dataset(str(path))
+
+    def test_csv_field_over_csv_limit_names_line(self, tmp_path):
+        # a long label alone takes the numpy pass; the quoted row sends the
+        # file to the csv module, which rejects the label's field
+        path = tmp_path / "long.csv"
+        row = "," + ",".join(["0.5"] * FRAME_SIZE) + "\r\n"
+        path.write_text(",".join(CSV_HEADER) + "\r\n" + "x" * 200_000 + row + '"q"' + row,
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: field larger than field limit"):
+            load_landmark_dataset(str(path))
+
+    def test_csv_header_over_csv_limit_names_line(self, tmp_path):
+        path = tmp_path / "long_header.csv"
+        path.write_text("x" * 200_000 + "\r\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1: field larger than field limit"):
+            load_landmark_dataset(str(path))
+
+    def test_bad_utf8_line_counts_cr_line_endings(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        rows = [",".join(CSV_HEADER).encode()] + [b"a," + b",".join([b"0.5"] * FRAME_SIZE)] * 5
+        rows[3] = b"\xff" + rows[3]
+        path.write_bytes(b"\r".join(rows))
+        with pytest.raises(ParseError, match=f"line 4: dataset file {path} is not valid UTF-8"):
+            load_landmark_dataset(str(path))
+
     def test_synthetic_csv_roundtrip_identical(self, tmp_path):
         # writer and loader must be mutually inverse, bit for bit
         spec = SyntheticSpec(

@@ -331,6 +331,11 @@ class TestWireProtocol:
         with pytest.raises(StreamError):
             decode_event('{"type":"command","source":"voice","action":"a","confidence":0.5,"ts_ms":1.5}')
 
+    def test_decode_rejects_int_past_digit_limit(self):
+        with pytest.raises(StreamError, match="Exceeds the limit"):
+            decode_event('{"type":"command","source":"voice","action":"a","confidence":0.5,'
+                         '"ts_ms":%s}' % ("9" * 5000))
+
     def test_event_validation(self):
         with pytest.raises(StreamError):
             CommandEvent(source="smoke", action_id="a", confidence=0.5, ts_ms=0)

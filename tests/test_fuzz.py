@@ -1,0 +1,373 @@
+"""Seeded fuzz suite over every input file format.
+
+Each case mutates a valid file once -- a byte flip, a truncation, a dropped
+or duplicated field, a huge integer, a non-finite token, a BOM, CRLF or CR
+line endings, or bytes that are not UTF-8 -- and reads it through the
+library reader and every ``natcmd`` command that reads that format.
+
+Invariant: every entry point accepts the file and gives what the library
+gives for the library's parse, or rejects it with a NatcmdError; on the
+command line that is exit 2 and an ``error:`` line. Never another exception,
+and never exit 1. Seeds are fixed, so every case reproduces.
+"""
+
+import io
+import json
+import random
+import re
+
+import numpy as np
+import pytest
+
+from natcmd import (
+    CannedTranscriptionProvider,
+    ReplayClock,
+    StabilityPolicy,
+    SvmConfig,
+    SyntheticSpec,
+    decode_event,
+    default_command_list,
+    encode_event,
+    evaluate_model,
+    generate_synthetic_dataset,
+    load_command_list,
+    load_embeddings,
+    load_landmark_dataset,
+    load_model,
+    predict,
+    resolve_command,
+    run_gesture_stream,
+    run_voice_stream,
+    save_landmark_dataset,
+    save_model,
+    train_linear_svm,
+)
+from natcmd.cli import run_cli
+from natcmd.dataset import frame_from_fields
+from natcmd.dispatch import REPLAY_FRAME_INTERVAL_MS, CommandEvent
+from natcmd.errors import NatcmdError
+
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+TEXT = "move forward"  # the transcript ``match`` resolves
+
+
+def flip_byte(data, rng, sep):
+    i = rng.randrange(len(data))
+    return data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1:]
+
+
+def truncate(data, rng, sep):
+    return data[: rng.randrange(len(data))]
+
+
+def drop_field(data, rng, sep):
+    fields = data.split(sep)
+    del fields[rng.randrange(len(fields))]
+    return sep.join(fields)
+
+
+def duplicate_field(data, rng, sep):
+    fields = data.split(sep)
+    i = rng.randrange(len(fields))
+    return sep.join(fields[: i + 1] + fields[i:])
+
+
+def _replace_number(data, rng, tokens):
+    match = rng.choice(list(NUMBER.finditer(data)))
+    return data[: match.start()] + rng.choice(tokens) + data[match.end():]
+
+
+def huge_int(data, rng, sep):
+    # 5000 digits is over Python's limit for int() of a string
+    return _replace_number(data, rng, [b"9" * n for n in (20, 400, 5000)])
+
+
+def non_finite(data, rng, sep):
+    return _replace_number(data, rng, [b"nan", b"NaN", b"-inf", b"Infinity"])
+
+
+def bom(data, rng, sep):
+    return b"\xef\xbb\xbf" + data
+
+
+def line_endings(data, rng, sep):
+    return data.replace(b"\n", rng.choice([b"\r\n", b"\r"]))
+
+
+def invalid_utf8(data, rng, sep):
+    i = rng.randrange(len(data) + 1)
+    return data[:i] + rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80"]) + data[i:]
+
+
+MUTATIONS = [flip_byte, truncate, drop_field, duplicate_field, huge_int,
+             non_finite, bom, line_endings, invalid_utf8]
+SEEDS = range(3 * len(MUTATIONS))  # each mutation three times per format
+
+
+class Inputs:
+    """Valid files of every format, and the model and dataset behind them."""
+
+    def __init__(self, root):
+        self.root = root
+        self.ds = generate_synthetic_dataset(
+            SyntheticSpec(label_set=("down", "stop", "up"), frames_per_label=3, seed=5))
+        self.model = train_linear_svm(self.ds, SvmConfig(seed=1))
+        self.model_path = root / "model.json"
+        save_model(self.model, str(self.model_path))
+        self.data_path = root / "data.csv"
+        save_landmark_dataset(self.ds, str(self.data_path))
+        self.frame_path = root / "frame.txt"
+        self.frame_path.write_text(
+            ",".join(map(repr, self.ds.frames[0].tolist())) + "\n", encoding="utf-8")
+        words = ["move", "forward", "look", "up", "stop", "2"]
+        rows = [f"{w} " + " ".join(f"{v:.4f}" for v in np.random.default_rng(i).normal(0, 1, 4))
+                for i, w in enumerate(words)]
+        self.embeddings = f"{len(words)} 4\n" + "\n".join(rows) + "\n"
+        self.embeddings_path = root / "embeddings.txt"
+        self.embeddings_path.write_text(self.embeddings, encoding="utf-8")
+        self.table = load_embeddings(str(self.embeddings_path))
+        self.commands = default_command_list()
+        self.transcripts = "move forward\n\nlook up 2\nstop\n\n"
+        self.transcripts_path = root / "polls.txt"
+        self.transcripts_path.write_text(self.transcripts, encoding="utf-8")
+
+    def dataset_bytes(self, fmt):
+        path = self.root / f"valid.{fmt}"
+        save_landmark_dataset(self.ds, str(path))
+        return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return Inputs(tmp_path_factory.mktemp("fuzz"))
+
+
+def outcome(read, *args):
+    """(result, None), or (None, the NatcmdError ``read`` raised)."""
+    try:
+        return read(*args), None
+    except NatcmdError as exc:
+        return None, exc
+
+
+class Natcmd:
+    """Runs ``natcmd`` in-process; records each exit code."""
+
+    def __init__(self, capsys):
+        self.capsys = capsys
+        self.codes = []
+
+    def expect(self, argv, error, wanted=None):
+        """``natcmd argv`` must fail with ``error`` (a message, or the end of
+        one) if that is set, else exit 0 with ``wanted`` as its stdout and
+        stderr summary. Returns stdout on success."""
+        code = run_cli([str(a) for a in argv])
+        out, err = self.capsys.readouterr()
+        self.codes.append(code)
+        if error is not None:
+            assert (code, out) == (2, ""), err
+            assert "error: " in err and err.endswith(f"{error}\n"), err
+            return None
+        assert code == 0, err
+        if wanted is not None:
+            summary = json.loads(err.splitlines()[-1]) if argv[0] == "run" else None
+            assert (out, summary) == wanted
+        return out
+
+
+def replay_frames(model, rows):
+    """What ``natcmd run --frames`` writes for these rows: stdout, summary."""
+    clock = ReplayClock()
+    events = []
+    summary = run_gesture_stream(model, clock.drive(rows, REPLAY_FRAME_INTERVAL_MS),
+                                 StabilityPolicy(), events.append, clock=clock.now)
+    return "".join(map(encode_event, events)), {"gesture": vars(summary)}
+
+
+def replay_polls(transcripts_path, commands, table):
+    """What ``natcmd run --transcripts`` writes: stdout, summary."""
+    clock = ReplayClock()
+    provider = CannedTranscriptionProvider.from_file(str(transcripts_path), clock=clock)
+    events = []
+    summary = run_voice_stream(provider, commands, table, events.append, clock=clock.now)
+    return "".join(map(encode_event, events)), {"voice": vars(summary)}
+
+
+def raw_lines(path):
+    """(line number, stripped text) of each non-blank line, or None if the
+    file is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
+    except UnicodeDecodeError:
+        return None
+
+
+def fields(text):
+    return [v for v in text.split(",") if v.strip()]
+
+
+def check_run_frames(natcmd, path, model_path, model):
+    """``run --frames`` reads a file whose first line starts with
+    ``label,`` as CSV, one whose first line starts with ``{`` as JSONL, and
+    anything else as raw frame lines, skipping the invalid ones."""
+    argv = ["run", "--model", model_path, "--frames", path]
+    first = next(iter(path.read_bytes().splitlines()), b"").decode("utf-8", "replace")
+    if first.startswith("label,") or first.lstrip().startswith("{"):
+        fmt = "csv" if first.startswith("label,") else "jsonl"
+        ds, error = outcome(load_landmark_dataset, str(path), fmt)
+        if error is not None:
+            return natcmd.expect(argv, str(error).replace("dataset file", "frame source"))
+        rows = ds.frames
+    else:
+        lines = raw_lines(path)
+        if lines is None:
+            return natcmd.expect(argv, f"frame source {path} is not valid UTF-8")
+        rows = [fields(text) for _, text in lines]
+    natcmd.expect(argv, None, replay_frames(model, rows))
+
+
+def check_dataset(natcmd, inputs, path):
+    ds, error = outcome(load_landmark_dataset, str(path))
+    model, train_error = (None, error) if error else outcome(
+        train_linear_svm, ds, SvmConfig(max_epochs=2, seed=42))
+    out = natcmd.expect(["train", "--kind", "svm", "--max-epochs", "2", "--data", path,
+                          "-o", inputs.root / "trained.json"], train_error)
+    if out is not None:
+        doc = json.loads(out)
+        assert (doc["labels"], doc["frames_trained"]) == (list(model.label_set), len(ds))
+        trained = load_model(str(inputs.root / "trained.json"))
+        for name, arr in model.params.items():
+            np.testing.assert_array_equal(trained.params[name], arr)
+    report, eval_error = (None, error) if error else outcome(evaluate_model, inputs.model, ds)
+    out = natcmd.expect(["evaluate", "--model", inputs.model_path, "--data", path], eval_error)
+    if out is not None:
+        assert json.loads(out)["confusion"] == report.confusion.counts.tolist()
+    check_run_frames(natcmd, path, inputs.model_path, inputs.model)
+
+
+def check_raw_frames(natcmd, inputs, path):
+    argv = ["predict", "--model", inputs.model_path, "--frame", path]
+    lines = raw_lines(path)
+    if lines is None:
+        natcmd.expect(argv, f"frame file {path} is not valid UTF-8")
+    elif not lines:
+        natcmd.expect(argv, f"{path}: no frame line found")
+    else:
+        frame, error = outcome(frame_from_fields, fields(lines[0][1]), lines[0][0])
+        out = natcmd.expect(argv, error)
+        if out is not None:
+            assert json.loads(out)["label"] == predict(inputs.model, frame).label
+    check_run_frames(natcmd, path, inputs.model_path, inputs.model)
+
+
+def check_model(natcmd, inputs, path):
+    model, error = outcome(load_model, str(path))
+    out = natcmd.expect(["predict", "--model", path, "--frame", inputs.frame_path], error)
+    if out is not None:
+        doc = json.loads(out)
+        assert doc["label"] == predict(model, inputs.ds.frames[0]).label
+        assert list(doc["scores"]) == list(model.label_set)
+    report, eval_error = (None, error) if error else outcome(evaluate_model, model, inputs.ds)
+    out = natcmd.expect(["evaluate", "--model", path, "--data", inputs.data_path], eval_error)
+    if out is not None:
+        assert json.loads(out)["confusion"] == report.confusion.counts.tolist()
+    if error is None:
+        check_run_frames(natcmd, inputs.data_path, path, model)
+    else:
+        natcmd.expect(["run", "--model", path, "--frames", inputs.data_path], error)
+
+
+def check_match(natcmd, argv, commands, table, error):
+    out = natcmd.expect(argv, error)
+    if out is not None:
+        result = resolve_command(TEXT, commands, table)
+        doc = json.loads(out)
+        assert [(c["phrase"], c["cosine"], c["jaro_winkler"]) for c in doc["candidates"]] == [
+            (c.phrase, c.cosine, c.jaro_winkler) for c in result.per_candidate]
+
+
+def check_run_polls(natcmd, argv, transcripts_path, commands, table, error):
+    if error is not None:
+        return natcmd.expect(argv, error)
+    natcmd.expect(argv, None, replay_polls(transcripts_path, commands, table))
+
+
+def check_embeddings(natcmd, inputs, path):
+    table, error = outcome(load_embeddings, str(path))
+    check_match(natcmd, ["match", "--embeddings", path, "--text", TEXT],
+                inputs.commands, table, error)
+    check_run_polls(natcmd, ["run", "--transcripts", inputs.transcripts_path, "--embeddings", path],
+                    inputs.transcripts_path, inputs.commands, table, error)
+
+
+def check_commands(natcmd, inputs, path):
+    commands, error = outcome(load_command_list, str(path))
+    check_match(natcmd, ["match", "--embeddings", inputs.embeddings_path, "--commands", path,
+                         "--text", TEXT], commands, inputs.table, error)
+    check_run_polls(natcmd, ["run", "--transcripts", inputs.transcripts_path, "--embeddings",
+                             inputs.embeddings_path, "--commands", path],
+                    inputs.transcripts_path, commands, inputs.table, error)
+
+
+def check_transcripts(natcmd, inputs, path):
+    _, error = outcome(CannedTranscriptionProvider.from_file, str(path))
+    check_run_polls(natcmd, ["run", "--transcripts", path, "--embeddings", inputs.embeddings_path],
+                    path, inputs.commands, inputs.table, error)
+
+
+def check_events(natcmd, inputs, path):
+    text = path.read_bytes().decode("utf-8", "replace")
+    for line in io.StringIO(text, newline=""):
+        event, _ = outcome(decode_event, line)
+        natcmd.codes.append(0 if event else 2)
+        if event is not None:
+            assert decode_event(encode_event(event)) == event
+
+
+def model_bytes(inputs):
+    with open(inputs.model_path, encoding="utf-8") as fh:
+        return json.dumps(json.load(fh), indent=1).encode("utf-8")
+
+
+def events_bytes(inputs):
+    events = [CommandEvent("gesture", "look_up", 0.75, 120),
+              CommandEvent("voice", "move_forward", 0.5, 3000)]
+    return "".join(map(encode_event, events)).encode("utf-8")
+
+
+# name: (file suffix, field separator, valid bytes, check)
+FORMATS = {
+    "dataset csv": (".csv", b",", lambda i: i.dataset_bytes("csv"), check_dataset),
+    "dataset jsonl": (".jsonl", b",", lambda i: i.dataset_bytes("jsonl"), check_dataset),
+    "raw frame lines": (".txt", b",", lambda i: b"\n".join(
+        ",".join(map(repr, f.tolist())).encode() for f in i.ds.frames) + b"\n\n",
+        check_raw_frames),
+    "embeddings": (".txt", b" ", lambda i: i.embeddings.encode(), check_embeddings),
+    "command tsv": (".tsv", b"\t", lambda i: b"look_up\tlook up\nmove_2\tmove 2 forward\n"
+                    b"stop\tstop\n", check_commands),
+    "model json": (".json", b",", model_bytes, check_model),
+    "transcripts": (".txt", b" ", lambda i: i.transcripts.encode(), check_transcripts),
+    "event ndjson": (".ndjson", b",", events_bytes, check_events),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_mutated_input(fmt, seed, inputs, tmp_path, capsys):
+    suffix, sep, valid, check = FORMATS[fmt]
+    rng = random.Random(f"{fmt} {seed}")
+    mutate = MUTATIONS[seed % len(MUTATIONS)]
+    path = tmp_path / f"mutated{suffix}"
+    path.write_bytes(mutate(valid(inputs), rng, sep))
+    check(Natcmd(capsys), inputs, path)
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_valid_input_is_accepted_everywhere(fmt, inputs, tmp_path, capsys):
+    suffix, _, valid, check = FORMATS[fmt]
+    path = tmp_path / f"valid{suffix}"
+    path.write_bytes(valid(inputs))
+    natcmd = Natcmd(capsys)
+    check(natcmd, inputs, path)
+    assert natcmd.codes and set(natcmd.codes) == {0}
