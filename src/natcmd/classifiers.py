@@ -265,56 +265,103 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _mlp_loss_and_grads(params, x, targets):
-    """Mean cross-entropy of softmax outputs and its analytic gradients."""
-    batch = x.shape[0]
-    z1, h, logits = _mlp_forward(params, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-(targets * log_probs).sum() / batch)
+def _mlp_layout(hidden: int, k: int) -> dict[str, tuple[int, ...]]:
+    return {"w1": (FRAME_SIZE, hidden), "b1": (hidden,), "w2": (hidden, k), "b2": (k,)}
 
-    dlogits = (np.exp(log_probs) - targets) / batch
-    grads = {
-        "w2": h.T @ dlogits,
-        "b2": dlogits.sum(axis=0),
-    }
-    dh = dlogits @ params["w2"].T
-    dz1 = dh * (z1 > 0)
-    grads["w1"] = x.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return loss, grads
+
+def _flat_views(layout: dict[str, tuple[int, ...]]):
+    """One zeroed float64 buffer, and a named view of it per shape in ``layout``."""
+    flat = np.zeros(sum(math.prod(shape) for shape in layout.values()))
+    views, start = {}, 0
+    for name, shape in layout.items():
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return flat, views
+
+
+def _mlp_workspace(batch: int, hidden: int, k: int) -> tuple[np.ndarray, ...]:
+    """The scratch arrays :func:`_mlp_step` fills for a batch of this size."""
+    return (np.empty((batch, hidden)), np.empty((batch, hidden), dtype=bool),
+            np.empty((batch, k)), np.empty((batch, 1)), np.empty((batch, k)),
+            np.empty((batch, hidden)))
+
+
+def _mlp_step(params, grads, x, targets, work) -> np.ndarray:
+    """Gradients of the mean cross-entropy of batch ``x``, written into
+    ``grads``; returns the batch's (B, K) log-probabilities.
+
+    Every array is filled in place (``work`` from :func:`_mlp_workspace`),
+    and the arithmetic is, operation for operation:
+      z1 = x @ w1 + b1;  h = max(0, z1);  logits = h @ w2 + b2
+      shifted = logits - max(logits);  log_probs = shifted - log(sum(exp(shifted)))
+      dlogits = (exp(log_probs) - targets) / B
+      gw2 = h.T @ dlogits;  gb2 = sum(dlogits);  dz1 = (dlogits @ w2.T) * (z1 > 0)
+      gw1 = x.T @ dz1;  gb1 = sum(dz1)
+    """
+    h, active, logits, col, dlogits, dz1 = work
+    w2 = params["w2"]
+    np.matmul(x, params["w1"], out=h)
+    h += params["b1"]
+    np.greater(h, 0.0, out=active)
+    np.maximum(0.0, h, out=h)
+    np.matmul(h, w2, out=logits)
+    logits += params["b2"]
+    np.maximum.reduce(logits, axis=1, keepdims=True, out=col)
+    logits -= col
+    np.add.reduce(np.exp(logits, out=dlogits), axis=1, keepdims=True, out=col)
+    np.log(col, out=col)
+    logits -= col  # now the log-probabilities
+    np.exp(logits, out=dlogits)
+    dlogits -= targets
+    dlogits /= x.shape[0]
+    np.matmul(h.T, dlogits, out=grads["w2"])
+    np.add.reduce(dlogits, axis=0, out=grads["b2"])
+    np.matmul(dlogits, w2.T, out=dz1)
+    dz1 *= active
+    np.matmul(x.T, dz1, out=grads["w1"])
+    np.add.reduce(dz1, axis=0, out=grads["b1"])
+    return logits
 
 
 def train_mlp(train: LabeledDataset, cfg: MlpConfig = MlpConfig()) -> GestureModel:
-    """Train the 63 -> hidden -> K softmax network with seeded mini-batch SGD."""
+    """Train the 63 -> hidden -> K softmax network with seeded mini-batch SGD.
+
+    The parameters are views of one flat buffer and the gradients views of
+    another, so each step updates all four with two in-place operations.
+    """
     _check_trainable(train)
     t0 = time.perf_counter()
 
     x = train.frames
     n = x.shape[0]
     k = len(train.label_set)
+    hidden, size = cfg.hidden_units, cfg.batch_size
     targets = one_hot_encode(train.labels, train.label_set).astype(np.float64)
 
     rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
-    params = {
-        "w1": _glorot_uniform(rng, FRAME_SIZE, cfg.hidden_units),
-        "b1": np.zeros(cfg.hidden_units),
-        "w2": _glorot_uniform(rng, cfg.hidden_units, k),
-        "b2": np.zeros(k),
-    }
+    layout = _mlp_layout(hidden, k)
+    flat, params = _flat_views(layout)
+    params["w1"][...] = _glorot_uniform(rng, FRAME_SIZE, hidden)
+    params["w2"][...] = _glorot_uniform(rng, hidden, k)
+    flat_grads, grads = _flat_views(layout)
+    # each batch's bounds in the epoch's permutation, and scratch for its size
+    work = {m: _mlp_workspace(m, hidden, k) for m in {min(size, n), n % size} if m}
+    batches = [(start, min(start + size, n), work[min(size, n - start)])
+               for start in range(0, n, size)]
     for _epoch in range(cfg.epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            _, grads = _mlp_loss_and_grads(params, x[batch], targets[batch])
-            for name in params:
-                params[name] = params[name] - cfg.learning_rate * grads[name]
+        for start, stop, scratch in batches:
+            batch = perm[start:stop]
+            _mlp_step(params, grads, x[batch], targets[batch], scratch)
+            flat_grads *= cfg.learning_rate
+            flat -= flat_grads
 
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return GestureModel(
         kind=MLP_KIND,
         label_set=train.label_set,
-        params=params,
+        params={name: view.copy() for name, view in params.items()},
         training_time_ms=elapsed_ms,
     )
 
@@ -336,7 +383,11 @@ def compute_mlp_gradients(model: GestureModel, frames, targets):
         raise ModelError(
             f"targets must be ({x.shape[0]}, {model.n_classes}), got {t.shape}"
         )
-    return _mlp_loss_and_grads(model.params, x, t)
+    hidden, batch = model.params["b1"].shape[0], x.shape[0]
+    _, grads = _flat_views(_mlp_layout(hidden, model.n_classes))
+    log_probs = _mlp_step(model.params, grads, x, t,
+                          _mlp_workspace(batch, hidden, model.n_classes))
+    return float(-(t * log_probs).sum() / batch), grads
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +414,7 @@ def _svm_operands(params):
 
 
 def _mlp_shapes(params, k):
-    h = params["b1"].shape[0] if params["b1"].ndim == 1 else -1
-    return {"w1": (FRAME_SIZE, h), "b1": (h,), "w2": (h, k), "b2": (k,)}
+    return _mlp_layout(params["b1"].shape[0] if params["b1"].ndim == 1 else -1, k)
 
 
 @dataclass(frozen=True)
@@ -468,7 +518,7 @@ def load_model(path: str) -> GestureModel:
         text = fh.read()
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
         raise ModelError(f"{path}: corrupt model file ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: model document must be a JSON object")
@@ -490,7 +540,7 @@ def load_model(path: str) -> GestureModel:
     training_time_ms = doc.get("training_time_ms", 0.0)
     if isinstance(training_time_ms, bool) or not isinstance(training_time_ms, (int, float)):
         raise ModelError(f"{path}: training_time_ms must be a number")
-    try:
+    try:  # np.asarray raises TypeError for a JSON object among the numbers
         arrays = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
         return GestureModel(
             kind=kind,
@@ -498,5 +548,5 @@ def load_model(path: str) -> GestureModel:
             params=arrays,
             training_time_ms=float(training_time_ms),
         )
-    except (ModelError, ValueError, OverflowError) as exc:
+    except (ModelError, ValueError, OverflowError, TypeError) as exc:
         raise ModelError(f"{path}: invalid model parameters ({exc})") from None

@@ -355,11 +355,12 @@ def _csv_field(text: str) -> str:
 @contextlib.contextmanager
 def _open_input(path: str, what: str, error: type[NatcmdError]):
     """Open the text input ``path`` as UTF-8, line endings as written (the csv
-    module needs them). A file that cannot be opened is an ``error`` naming
-    it; bytes that are not UTF-8 a ParseError naming their line, if ``error``
+    module needs them), skipping a leading byte-order mark (again after a
+    ``seek(0)``). A file that cannot be opened is an ``error`` naming it;
+    bytes that are not UTF-8 a ParseError naming their line, if ``error``
     admits one, else an ``error`` with the same text."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
@@ -458,7 +459,7 @@ def _read_jsonl(fh, path: str) -> tuple[list[np.ndarray], list[str]]:
             continue
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
             raise ParseError(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(obj, dict) or set(obj) != {"label", "coords"}:
             raise ParseError(lineno, 'object must have exactly "label" and "coords"')

@@ -294,7 +294,7 @@ def encode_event(ev: CommandEvent) -> str:
 def decode_event(line: str) -> CommandEvent:
     try:
         doc = json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
         raise StreamError(f"invalid event line: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(doc, dict) or tuple(doc.keys()) != _EVENT_KEYS:
         raise StreamError(f"event object must have keys {_EVENT_KEYS} in order")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from natcmd import (
+    DEFAULT_GESTURE_LABELS,
     FRAME_SIZE,
     GestureModel,
     LabeledDataset,
@@ -17,6 +18,7 @@ from natcmd import (
     predict,
     predict_batch,
     save_model,
+    split_dataset,
     synthetic_prototypes,
     train_linear_svm,
     train_mlp,
@@ -234,6 +236,103 @@ class TestGradients:
         svm = train_linear_svm(ds, SvmConfig(seed=0))
         with pytest.raises(ModelError):
             compute_mlp_gradients(svm, np.zeros((1, FRAME_SIZE)), np.zeros((1, 2)))
+
+
+def reference_loss_and_grads(params, x, targets):
+    """The plain gradient computation the in-place step replaced."""
+    batch = x.shape[0]
+    z1 = x @ params["w1"] + params["b1"]
+    h = np.maximum(0.0, z1)
+    logits = h @ params["w2"] + params["b2"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-(targets * log_probs).sum() / batch)
+
+    dlogits = (np.exp(log_probs) - targets) / batch
+    grads = {
+        "w2": h.T @ dlogits,
+        "b2": dlogits.sum(axis=0),
+    }
+    dh = dlogits @ params["w2"].T
+    dz1 = dh * (z1 > 0)
+    grads["w1"] = x.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    return loss, grads
+
+
+def reference_train_mlp(train, cfg):
+    """The plain training loop the in-place one replaced: its parameters."""
+    x = train.frames
+    n = x.shape[0]
+    k = len(train.label_set)
+    targets = one_hot_encode(train.labels, train.label_set).astype(np.float64)
+    rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+
+    def glorot(fan_in, fan_out):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, (fan_in, fan_out))
+
+    params = {
+        "w1": glorot(FRAME_SIZE, cfg.hidden_units),
+        "b1": np.zeros(cfg.hidden_units),
+        "w2": glorot(cfg.hidden_units, k),
+        "b2": np.zeros(k),
+    }
+    for _epoch in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = perm[start : start + cfg.batch_size]
+            _, grads = reference_loss_and_grads(params, x[batch], targets[batch])
+            for name in params:
+                params[name] = params[name] - cfg.learning_rate * grads[name]
+    return params
+
+
+def assert_bit_equal(actual, expected):
+    assert list(actual) and set(actual) == set(expected)
+    for name in expected:
+        assert actual[name].shape == expected[name].shape, name
+        assert actual[name].tobytes() == expected[name].tobytes(), name
+
+
+class TestMlpMatchesReference:
+    """The in-place training step against the plain one it replaced: the
+    same weights and gradients, bit for bit."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 1000])  # 1000 > n
+    @pytest.mark.parametrize("hidden", [1, 30])
+    @pytest.mark.parametrize("k", [2, 15])
+    def test_trained_params(self, k, hidden, batch_size):
+        seed = 100 * k + 10 * hidden + batch_size
+        ds = generate_synthetic_dataset(SyntheticSpec(
+            label_set=tuple(f"g{i}" for i in range(k)), frames_per_label=9,
+            noise_sigma=0.05, seed=seed))
+        cfg = MlpConfig(hidden_units=hidden, learning_rate=(1e-3, 0.5)[seed % 2],
+                        batch_size=batch_size, epochs=1 + seed % 3, seed=seed)
+        model = train_mlp(ds, cfg)
+        assert_bit_equal(model.params, reference_train_mlp(ds, cfg))
+        for arr in model.params.values():
+            assert arr.flags.c_contiguous and arr.base is None
+
+    def test_acceptance_regime(self):
+        spec = SyntheticSpec(label_set=DEFAULT_GESTURE_LABELS, frames_per_label=1000,
+                             noise_sigma=0.01, seed=7)
+        train, _ = split_dataset(generate_synthetic_dataset(spec), 0.8, seed=7)
+        cfg = MlpConfig(hidden_units=30, seed=7)
+        assert_bit_equal(train_mlp(train, cfg).params, reference_train_mlp(train, cfg))
+
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    @pytest.mark.parametrize("hidden,k", [(1, 2), (4, 3), (30, 15)])
+    def test_gradients(self, batch, hidden, k):
+        rng = np.random.default_rng(batch * hidden * k)
+        model = random_mlp(rng, hidden=hidden, k=k)
+        frames = rng.uniform(-1, 1, (batch, FRAME_SIZE))
+        targets = np.eye(k)[rng.integers(0, k, batch)]
+        for x in (frames, np.asfortranarray(frames)):
+            loss, grads = compute_mlp_gradients(model, x, targets)
+            ref_loss, ref_grads = reference_loss_and_grads(model.params, x, targets)
+            assert loss == ref_loss
+            assert_bit_equal(grads, ref_grads)
 
 
 class TestPredict:

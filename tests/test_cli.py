@@ -479,6 +479,26 @@ class TestUnreadableDataFiles:
             return [b""] + [line.partition(b",")[2] for line in lines[1:]]
         return lines
 
+    def test_bad_utf8_after_bom_names_the_line(self, model_path, tmp_path, capsys, small_data):
+        lines = self.data_lines("train", small_data)
+        lines[2] = b"\xff" + lines[2]
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + b"\r\n".join(lines))
+        code, out, err = run(capsys, *self.argv("train", str(data), model_path, tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 3: dataset file {data} is not valid UTF-8\n"
+
+    def test_deeply_nested_jsonl_exits_2(self, model_path, tmp_path, capsys):
+        # json raises RecursionError, not ValueError, past the recursion limit
+        data = tmp_path / "nested.jsonl"
+        valid = ", ".join(["0.5"] * 63)
+        nested = ", ".join(["0.5"] * 62 + ["[" * 100_000 + "]" * 100_000])
+        data.write_text('{"label": "a", "coords": [%s]}\n{"label": "b", "coords": [%s]}\n'
+                        % (valid, nested), encoding="utf-8")
+        code, out, err = run(capsys, *self.argv("train", str(data), model_path, tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: invalid JSON: maximum recursion depth")
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_directory_exits_2(self, command, model_path, tmp_path, capsys):
         data = tmp_path / "dir.csv"
@@ -561,6 +581,27 @@ class TestBadModelFiles:
         code, out, err = run(capsys, "predict", "--model", str(path), "--frame", str(frame))
         assert (code, out) == (2, "")
         assert f"error: {path}: corrupt model file (Exceeds the limit" in err
+
+    @pytest.mark.parametrize("value", [{}, {"0": 1.0}, [[{}] * 64]],
+                             ids=["empty object", "object", "object in list"])
+    def test_param_as_object_exits_2(self, value, model_path, tmp_path, capsys):
+        # np.asarray raises TypeError, not ValueError, for a dict
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["params"]["weights"] = value
+        code, out, err = self.predict_with(doc, tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert "invalid model parameters" in err
+
+    def test_deep_nesting_exits_2(self, tmp_path, capsys):
+        # json raises RecursionError, not ValueError, past the recursion limit
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        frame = tmp_path / "frame.txt"
+        frame.write_text(",".join(["0.5"] * 63) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "predict", "--model", str(path), "--frame", str(frame))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: corrupt model file (maximum recursion depth")
 
     def test_duplicate_labels_exit_2(self, model_path, tmp_path, capsys):
         with open(model_path, encoding="utf-8") as fh:
@@ -728,3 +769,42 @@ class TestLineEndings:
         (lf / file_name).write_bytes(text.encode("utf-8"))
         (other / file_name).write_bytes(text.replace("\n", ending).encode("utf-8"))
         assert parse(str(other / file_name)) == parse(str(lf / file_name))
+
+
+class TestByteOrderMark:
+    """Every reader skips a leading UTF-8 byte-order mark: it parses the
+    marked file as it parses the same file without one."""
+
+    @pytest.mark.parametrize("name", TestLineEndings.NAMES + ["csv replay"])
+    def test_same_parse_as_plain(self, name, tmp_path):
+        files = TestLineEndings.files(tmp_path)
+        files["csv replay"] = ("d3.csv", files["dataset csv"][1], lambda p: [
+            row.tolist() for row in natcmd.cli._iter_replay_frames(p, dispatch.ReplayClock())])
+        file_name, text, parse = files[name]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        (plain / file_name).write_bytes(text.encode("utf-8"))
+        (marked / file_name).write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert parse(str(marked / file_name)) == parse(str(plain / file_name))
+
+    @pytest.mark.parametrize("command", TestUnreadableDataFiles.COMMANDS)
+    def test_dataset_commands_same_output(self, command, model_path, small_data, tmp_path,
+                                          capsys):
+        lines = TestUnreadableDataFiles.data_lines(command, small_data)
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            data = tmp_path / "data.csv"
+            data.write_bytes(bom + b"\r\n".join(lines))
+            argv = TestUnreadableDataFiles.argv(command, str(data), model_path, tmp_path)
+            code, out, err = run(capsys, *argv)
+            docs = [json.loads(line) for line in out.splitlines()]
+            outputs.append((code, err, [{k: v for k, v in doc.items()
+                                         if not k.endswith("time_ms")} for doc in docs]))
+            if command == "train":
+                outputs.append(natcmd.load_model(str(tmp_path / "o.json")).params["weights"]
+                               .tolist())
+        assert outputs[0][0] == 0 and outputs[0][2]
+        assert outputs[: len(outputs) // 2] == outputs[len(outputs) // 2:]
+        if command.startswith("run"):
+            assert json.loads(outputs[0][1])["gesture"]["frames_skipped"] == 0

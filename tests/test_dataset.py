@@ -310,6 +310,27 @@ class TestFileIO:
         with pytest.raises(ParseError, match="line 1: field larger than field limit"):
             load_landmark_dataset(str(path))
 
+    def test_bom_csv_with_quoted_label_reads_like_plain(self, tmp_path, monkeypatch):
+        # the quote sends the file back to the csv module after a seek(0),
+        # which must skip the byte-order mark again
+        row = ",".join(["0.5"] * FRAME_SIZE)
+        text = ",".join(CSV_HEADER) + f"\r\nplain,{row}\r\n\"a,b\",{row}\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        loads = []
+        real_loadtxt = np.loadtxt
+
+        def counting_loadtxt(lines, *args, **kwargs):
+            loads.append(1)
+            return real_loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        ds = load_landmark_dataset(str(marked))
+        assert loads  # the numpy pass ran, and gave up at the quote
+        assert ds.labels == ("plain", "a,b")
+        assert_datasets_equal(ds, load_landmark_dataset(str(plain)))
+
     def test_bad_utf8_line_counts_cr_line_endings(self, tmp_path):
         path = tmp_path / "cr.csv"
         rows = [",".join(CSV_HEADER).encode()] + [b"a," + b",".join([b"0.5"] * FRAME_SIZE)] * 5

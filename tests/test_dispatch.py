@@ -336,6 +336,12 @@ class TestWireProtocol:
             decode_event('{"type":"command","source":"voice","action":"a","confidence":0.5,'
                          '"ts_ms":%s}' % ("9" * 5000))
 
+    def test_decode_rejects_deep_nesting(self):
+        # json raises RecursionError, not ValueError, past the recursion limit
+        with pytest.raises(StreamError, match="invalid event line: maximum recursion depth"):
+            decode_event('{"type":"command","source":"voice","action":"a","confidence":%s,'
+                         '"ts_ms":1}' % ("[" * 100_000 + "]" * 100_000))
+
     def test_event_validation(self):
         with pytest.raises(StreamError):
             CommandEvent(source="smoke", action_id="a", confidence=0.5, ts_ms=0)

@@ -2,8 +2,10 @@
 
 Each case mutates a valid file once -- a byte flip, a truncation, a dropped
 or duplicated field, a huge integer, a non-finite token, a BOM, CRLF or CR
-line endings, or bytes that are not UTF-8 -- and reads it through the
-library reader and every ``natcmd`` command that reads that format.
+line endings, or bytes that are not UTF-8; in the JSON formats also deep
+nesting, and in a model a parameter that is an object -- and reads it
+through the library reader and every ``natcmd`` command that reads that
+format.
 
 Invariant: every entry point accepts the file and gives what the library
 gives for the library's parse, or rejects it with a NatcmdError; on the
@@ -104,6 +106,34 @@ MUTATIONS = [flip_byte, truncate, drop_field, duplicate_field, huge_int,
 SEEDS = range(3 * len(MUTATIONS))  # each mutation three times per format
 
 
+def deep_nesting(data, rng, sep):
+    # 70 deep parses, past numpy's dimension limit; 2000 and more is past
+    # Python's recursion limit, which json raises as RecursionError
+    depth = rng.choice([70, 2_000, 100_000])
+    return _replace_number(data, rng, [b"[" * depth + b"]" * rng.choice([0, depth])])
+
+
+def param_as_object(data, rng, sep):
+    doc = json.loads(data)
+    name = rng.choice(sorted(doc["params"]))
+    value = rng.choice([{}, {"0": 1.0}])
+    if rng.random() < 0.5:
+        doc["params"][name] = value
+    else:  # one row of the parameter
+        rows = doc["params"][name]
+        rows[rng.randrange(len(rows))] = value
+    return json.dumps(doc, indent=1).encode("utf-8")
+
+
+# mutations that only a JSON format has room for: (the formats, mutation)
+JSON_MUTATIONS = {
+    "deep nesting": (("dataset jsonl", "model json", "event ndjson"), deep_nesting),
+    "param as object": (("model json",), param_as_object),
+}
+JSON_CASES = [(fmt, name, seed) for name, (fmts, _) in JSON_MUTATIONS.items()
+              for fmt in fmts for seed in range(4)]
+
+
 class Inputs:
     """Valid files of every format, and the model and dataset behind them."""
 
@@ -197,7 +227,7 @@ def raw_lines(path):
     """(line number, stripped text) of each non-blank line, or None if the
     file is not UTF-8."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
     except UnicodeDecodeError:
         return None
@@ -212,7 +242,7 @@ def check_run_frames(natcmd, path, model_path, model):
     ``label,`` as CSV, one whose first line starts with ``{`` as JSONL, and
     anything else as raw frame lines, skipping the invalid ones."""
     argv = ["run", "--model", model_path, "--frames", path]
-    first = next(iter(path.read_bytes().splitlines()), b"").decode("utf-8", "replace")
+    first = next(iter(path.read_bytes().splitlines()), b"").decode("utf-8-sig", "replace")
     if first.startswith("label,") or first.lstrip().startswith("{"):
         fmt = "csv" if first.startswith("label,") else "jsonl"
         ds, error = outcome(load_landmark_dataset, str(path), fmt)
@@ -360,6 +390,15 @@ def test_mutated_input(fmt, seed, inputs, tmp_path, capsys):
     mutate = MUTATIONS[seed % len(MUTATIONS)]
     path = tmp_path / f"mutated{suffix}"
     path.write_bytes(mutate(valid(inputs), rng, sep))
+    check(Natcmd(capsys), inputs, path)
+
+
+@pytest.mark.parametrize("fmt,mutation,seed", JSON_CASES)
+def test_mutated_json(fmt, mutation, seed, inputs, tmp_path, capsys):
+    suffix, sep, valid, check = FORMATS[fmt]
+    rng = random.Random(f"{fmt} {mutation} {seed}")
+    path = tmp_path / f"mutated{suffix}"
+    path.write_bytes(JSON_MUTATIONS[mutation][1](valid(inputs), rng, sep))
     check(Natcmd(capsys), inputs, path)
 
 
