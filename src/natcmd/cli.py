@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 from . import classifiers, dataset, dispatch, metrics, voice
@@ -315,20 +316,26 @@ _HANDLERS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run_cli(argv: list[str]) -> int:
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        print("run 'natcmd --help' for usage", file=sys.stderr)
-        return USAGE_EXIT
-    except SystemExit as exc:  # argparse --help
-        return 0 if exc.code in (0, None) else USAGE_EXIT
-    except NatcmdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning  # one line, no source location
+        try:
+            parser = build_parser()
+            args = parser.parse_args(argv)
+            return _HANDLERS[args.command](args)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            print("run 'natcmd --help' for usage", file=sys.stderr)
+            return USAGE_EXIT
+        except SystemExit as exc:  # argparse --help
+            return 0 if exc.code in (0, None) else USAGE_EXIT
+        except NatcmdError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return DATA_EXIT
 
 
 def main() -> None:

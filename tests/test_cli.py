@@ -173,6 +173,26 @@ class TestMatch:
         assert json.loads(out)["matched"]["action"] == "go_up"
 
 
+    @pytest.mark.parametrize("token", ["nan", "1e400"])
+    def test_non_finite_value_names_path_and_line(self, tmp_path, capsys, token):
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w") as fh:
+            fh.write(f"move 1 0\nforward 0 1\nlook {token} 1\n")
+        code, out, err = run(capsys, "match", "--embeddings", path, "--text", "move forward")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} line 3: non-finite value\n"
+
+    def test_duplicate_warning_is_one_line(self, embeddings_file, capsys):
+        with open(embeddings_file, "a") as fh:
+            fh.write("move 1 1 1 1 1 1 1 1\n")
+        lines = sum(1 for _ in open(embeddings_file))
+        code, out, err = run(capsys, "match", "--embeddings", embeddings_file,
+                             "--text", "move forward")
+        assert code == 0 and json.loads(out)["matched"]["action"] == "move_forward"
+        assert err == (f"warning: {embeddings_file} line {lines}: duplicate embedding "
+                       "for 'move'; keeping the last\n")
+
+
 class TestRun:
     def make_frame_file(self, tmp_path, labels=("up",) * 6 + ("stop",) * 6):
         spec = SyntheticSpec(label_set=("down", "stop", "up"), frames_per_label=1,

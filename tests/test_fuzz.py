@@ -402,6 +402,28 @@ def test_mutated_json(fmt, mutation, seed, inputs, tmp_path, capsys):
     check(Natcmd(capsys), inputs, path)
 
 
+# Embedding value tokens that float() reads and numpy does not (the first
+# three), or that both or neither read; and Unicode separators both split on.
+EMBEDDING_TOKENS = [t.encode() for t in ("1_0", "\u0661", "\u0663.\u0665", "nan", "inf",
+                                         "1e400", "0x1")]
+EMBEDDING_SEPARATORS = [t.encode() for t in ("\t", "\xa0", "\x85", "\x0b", "\x0c", "\x1c",
+                                             "\x1f", "\u3000")]
+
+
+@pytest.mark.parametrize("token", EMBEDDING_TOKENS + EMBEDDING_SEPARATORS)
+def test_embedding_tokens(token, inputs, tmp_path, capsys):
+    rng = random.Random(token)
+    data = inputs.embeddings.encode()
+    if token in EMBEDDING_SEPARATORS:
+        i = rng.choice([i for i, byte in enumerate(data) if byte == ord(" ")])
+        data = data[:i] + token + data[i + 1:]
+    else:
+        data = _replace_number(data, rng, [token])
+    path = tmp_path / "tokens.txt"
+    path.write_bytes(data)
+    check_embeddings(Natcmd(capsys), inputs, path)
+
+
 @pytest.mark.parametrize("fmt", list(FORMATS))
 def test_valid_input_is_accepted_everywhere(fmt, inputs, tmp_path, capsys):
     suffix, _, valid, check = FORMATS[fmt]

@@ -1,5 +1,7 @@
 import random
+import re
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +130,53 @@ class TestEmbeddings:
         open(path, "w").close()
         with pytest.raises(VoiceError):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("token", ["nan", "1e400", "-inf"])
+    def test_non_finite_value_names_path_and_line(self, tmp_path, token):
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w") as fh:
+            fh.write(f"a 1 2\nb 3 4\nc 5 {token}\n")
+        with pytest.raises(VoiceError, match=f"^{re.escape(path)} line 3: non-finite value$"):
+            load_embeddings(path)
+
+    def test_non_finite_checked_in_line_order(self, tmp_path):
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w") as fh:
+            fh.write("a 1 2\nb nan 4\nc 5\n")
+        with pytest.raises(VoiceError, match="line 2: non-finite value"):
+            load_embeddings(path)
+
+    def test_duplicate_warning_names_path_and_line(self, tmp_path):
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w") as fh:
+            fh.write("3 2\na 1 2\nb 3 4\na 5 6\n")
+        with pytest.warns(UserWarning) as record:
+            load_embeddings(path)
+        assert [str(w.message) for w in record] == [
+            f"{path} line 4: duplicate embedding for 'a'; keeping the last"]
+
+    def test_loaded_vectors_are_writable_rows_in_file_order(self, tmp_path):
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w") as fh:
+            fh.write("2 3\nzeta 1 2 3\nalpha 4 5 6\n")
+        entries = load_embeddings(path).entries
+        assert list(entries) == ["zeta", "alpha"]
+        for vec in entries.values():
+            assert (vec.dtype, vec.shape, vec.flags.writeable) == (np.float64, (3,), True)
+        entries["zeta"][0] = 7.0
+        np.testing.assert_array_equal(entries["alpha"], [4.0, 5.0, 6.0])
+
+    def test_direct_table_names_the_word(self):
+        entries = {f"w{i}": np.ones(3) for i in range(2500)}
+        entries["w2100"] = np.array([1.0, np.inf, 0.0])
+        with pytest.raises(VoiceError, match="^vector for 'w2100' has non-finite values$"):
+            EmbeddingTable(dimension=3, entries=entries)
+
+    def test_direct_table_reports_errors_in_entry_order(self):
+        with pytest.raises(VoiceError, match="'a' has non-finite"):
+            EmbeddingTable(dimension=2, entries={"a": [np.nan, 0.0], "b": [1.0]})
+        with pytest.raises(VoiceError, match="'a' has shape"):
+            EmbeddingTable(dimension=2, entries={"a": [1.0], "b": [np.nan, 0.0]})
 
     def test_caller_entries_left_unchanged(self):
         entries = {"a": [1.0, 2.0], "b": np.array([3.0, 4.0])}
@@ -349,6 +398,133 @@ class TestResolve:
         r2 = resolve_command("show schedule", commands, table)
         assert r1.matched == r2.matched
         assert r1.per_candidate == r2.per_candidate
+
+
+# Unicode whitespace that str.split() and numpy's whitespace mode both split on
+SEPARATORS = ["\t", "\xa0", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+              "\u2028", "\u3000"]
+# float() reads the first three and numpy does not; the rest neither or both read
+ODD_TOKENS = ["1_0", "\u0661", "\u0663.\u0665", "nan", "inf", "-Infinity", "1e400", "0x1"]
+
+
+TABLE_MUTATIONS = ["odd token", "ragged row", "no values", "duplicate word", "separators",
+                   "blank lines", "line endings", "bom"]
+
+
+def embedding_table_text(rng):
+    """A seeded word2vec text table with a right, wrong or no header, then
+    up to three of TABLE_MUTATIONS."""
+    dim = rng.randint(1, 6)
+    if rng.random() < 0.2:  # more lines than numpy reads per call
+        words = [f"w{i}" for i in range(rng.randint(100, 300))]
+    else:
+        words = rng.sample(["move", "forward", "look", "up", "ζoom", "2", "a'b", "x_y", "日本"],
+                           rng.randint(1, 8))
+    fmt = rng.choice([repr, lambda v: f"{v:.6f}", lambda v: f"{v:e}", lambda v: str(round(v))])
+    rows = [[w] + [fmt(rng.uniform(-3, 3)) for _ in range(dim)] for w in words]
+    mutations = rng.sample(TABLE_MUTATIONS, rng.choice([0, 0, 0, 1, 1, 2, 3]))
+    if "odd token" in mutations:
+        row = rng.choice(rows)
+        row[rng.randrange(1, len(row))] = rng.choice(ODD_TOKENS)
+    if "ragged row" in mutations:
+        row = rng.choice(rows)
+        if len(row) == 2 or rng.random() < 0.5:
+            row.append("0.5")
+        else:
+            row.pop()
+    if "no values" in mutations:
+        del rng.choice(rows)[1:]
+    if "duplicate word" in mutations:
+        rows.insert(rng.randrange(len(rows) + 1), [rng.choice(rows)[0]] + [
+            fmt(rng.uniform(-3, 3)) for _ in range(dim)])
+    lines = [" ".join(row) for row in rows]
+    if "separators" in mutations:
+        lines = ["".join(rng.choice(SEPARATORS) if ch == " " and rng.random() < 0.5 else ch
+                         for ch in line) + rng.choice(["", " ", "\t"]) for line in lines]
+    if "blank lines" in mutations:
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "\t"]))
+    header = rng.choice(["right"] * 3 + ["none"] * 2 + ["wrong", "three ints", "one int"])
+    if header != "none":
+        lines.insert(0, {"right": f"{len(words)} {dim}", "wrong": f"{len(words) + 3} {dim + 1}",
+                         "three ints": f"{len(words)} {dim} 0", "one int": f"{len(words)}"}[header])
+    text = "\n".join(lines) + rng.choice(["\n", ""])
+    if "line endings" in mutations:
+        text = text.replace("\n", rng.choice(["\r\n", "\r"]))
+    if "bom" in mutations:
+        text = "\ufeff" + text
+    return text
+
+
+def read_outcome(path):
+    """What ``load_embeddings`` gives -- the table as bytes or the error, and
+    the warnings either way -- and the table itself, if any."""
+    table = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = load_embeddings(path)
+            result = (table.dimension, [(w, v.tobytes()) for w, v in table.entries.items()])
+        except VoiceError as exc:
+            result = (type(exc), str(exc))
+    return (result, [(w.category, str(w.message)) for w in caught]), table
+
+
+def refuse_loadtxt(*args, **kwargs):
+    raise ValueError("numpy pass switched off")
+
+
+class TestEmbeddingsReaderAgainstRowReader:
+    """The numpy pass gives what the per-line reader gives, bit for bit."""
+
+    def test_seeded_tables(self, tmp_path, monkeypatch):
+        loadtxt = np.loadtxt
+        matrices = []
+
+        def spy(*args, **kwargs):
+            matrices.append(loadtxt(*args, **kwargs))
+            return matrices[-1]
+
+        through_numpy = through_rows = 0
+        for seed in range(600):
+            path = str(tmp_path / f"emb{seed}.txt")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(embedding_table_text(random.Random(seed)))
+            matrices.clear()
+            monkeypatch.setattr(np, "loadtxt", spy)
+            fast, table = read_outcome(path)
+            monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
+            assert fast == read_outcome(path)[0], seed
+            kept = table is not None and bool(matrices) and all(
+                any(np.shares_memory(vec, m) for m in matrices) for vec in table.entries.values())
+            through_numpy += kept
+            through_rows += not kept
+        assert through_numpy >= 100 and through_rows >= 100, (through_numpy, through_rows)
+
+    def test_wider_rows_from_any_line_on(self, tmp_path, monkeypatch):
+        """300 rows of 2 values, then 3 values from row ``start`` on: every
+        place numpy's calls could split the rows."""
+        paths = []
+        for start in range(300):
+            paths.append(str(tmp_path / f"emb{start}.txt"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.writelines(f"w{i} 1 2{' 3' * (i >= start)}\n" for i in range(300))
+        fast = [read_outcome(path)[0] for path in paths]
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
+        assert [read_outcome(path)[0] for path in paths] == fast
+
+    def test_benchmark_sized_table(self, tmp_path, monkeypatch):
+        """10,000 words of 50 values, written as the benchmark writes its table."""
+        rng = random.Random(7)
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("10000 50\n")
+            for i in range(10000):
+                fh.write(f"w{i} " + " ".join(f"{rng.gauss(0, 1):.6f}" for _ in range(50)) + "\n")
+        fast, table = read_outcome(path)
+        assert (len(table), table.dimension, fast[1]) == (10000, 50, [])
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
+        assert read_outcome(path)[0] == fast
 
 
 def oracle_resolve(transcript, commands, table):
