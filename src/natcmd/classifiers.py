@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import FRAME_SIZE, LabeledDataset, _open_input, as_frame, as_frames, one_hot_encode
-from .errors import ModelError, TrainingError
+from .errors import DatasetError, ModelError, TrainingError
 
 SVM_KIND = "svm"
 MLP_KIND = "mlp"
@@ -252,19 +252,6 @@ def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
     return rng.uniform(-limit, limit, (fan_in, fan_out))
 
 
-def _mlp_forward(params: dict[str, np.ndarray], x: np.ndarray):
-    z1 = x @ params["w1"] + params["b1"]
-    h = np.maximum(0.0, z1)
-    logits = h @ params["w2"] + params["b2"]
-    return z1, h, logits
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _mlp_layout(hidden: int, k: int) -> dict[str, tuple[int, ...]]:
     return {"w1": (FRAME_SIZE, hidden), "b1": (hidden,), "w2": (hidden, k), "b2": (k,)}
 
@@ -413,6 +400,21 @@ def _svm_operands(params):
     return wt, bias
 
 
+def _mlp_score(params, x: np.ndarray) -> np.ndarray:
+    """Softmax probabilities of a (63,) frame or an (N, 63) batch: the
+    operations of ``softmax(max(0, x @ w1 + b1) @ w2 + b2)`` in their plain
+    order, each written over the array before it, so bit-identical to it."""
+    z = x @ params["w1"]
+    z += params["b1"]
+    np.maximum(0.0, z, out=z)
+    logits = z @ params["w2"]
+    logits += params["b2"]
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    return logits
+
+
 def _mlp_shapes(params, k):
     return _mlp_layout(params["b1"].shape[0] if params["b1"].ndim == 1 else -1, k)
 
@@ -449,30 +451,52 @@ MODEL_KINDS: dict[str, ModelKind] = {
         param_names=("w1", "b1", "w2", "b2"),
         shapes=_mlp_shapes,
         prepare=lambda params: params,
-        score=lambda params, x: _softmax(_mlp_forward(params, x)[2]),
+        score=_mlp_score,
         confidence=lambda top: min(1.0, max(0.0, top)),
     ),
 }
 
 
+# a frame of finite coordinates that overflows the model is invalid too
+_NON_FINITE_SCORE = "frame gives a non-finite winning score"
+
+
 def scores(model: GestureModel, x: np.ndarray) -> np.ndarray:
     """(K,) scores of a validated (63,) frame, or (N, K) of a validated
-    (N, 63) batch: SVM margins or MLP softmax probabilities."""
+    (N, 63) batch: SVM margins or MLP softmax probabilities.
+
+    A frame of huge coordinates can overflow to inf or NaN scores; numpy's
+    warnings for that are silenced, and :func:`_winners` rejects the frame.
+    """
     score = MODEL_KINDS[model.kind].score
-    if x.ndim == 2 and len(x) > _SCORE_BLOCK:
-        blocks = range(0, len(x), _SCORE_BLOCK)
-        return np.concatenate(
-            [score(model._operands, x[i : i + _SCORE_BLOCK]) for i in blocks]
-        )
-    return score(model._operands, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.ndim == 2 and len(x) > _SCORE_BLOCK:
+            blocks = range(0, len(x), _SCORE_BLOCK)
+            return np.concatenate(
+                [score(model._operands, x[i : i + _SCORE_BLOCK]) for i in blocks]
+            )
+        return score(model._operands, x)
+
+
+def _winners(s: np.ndarray) -> np.ndarray:
+    """Argmax of (K,) or (N, K) scores, ties to the lowest index; raises
+    DatasetError if any winning score is not finite."""
+    idx = s.argmax(axis=-1)
+    # all scores finite is the common case, and cheaper to test than a gather
+    if not np.isfinite(s).all() and not np.isfinite(
+            np.take_along_axis(s, idx[..., None], axis=-1)).all():
+        raise DatasetError(_NON_FINITE_SCORE)
+    return idx
 
 
 def predict(model: GestureModel, frame) -> Prediction:
-    """Classify one frame; ties in the scores resolve to the lowest index."""
+    """Classify one frame; ties in the scores resolve to the lowest index.
+    An invalid frame, or one whose winning score is not finite, raises
+    DatasetError."""
     x = as_frame(frame)
     start = time.perf_counter()
     s = scores(model, x)
-    idx = int(s.argmax())
+    idx = int(_winners(s))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return Prediction(label=model.label_set[idx], scores=s, elapsed_ms=elapsed_ms)
 
@@ -489,7 +513,7 @@ def predict_batch(model: GestureModel, frames) -> list[Prediction]:
         return []
     start = time.perf_counter()
     s = scores(model, x)
-    idx = s.argmax(axis=1)
+    idx = _winners(s)
     elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(x)
     labels = model.label_set
     return [Prediction(labels[i], row, elapsed_ms) for i, row in zip(idx.tolist(), s)]

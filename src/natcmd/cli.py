@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train, evaluate, predict, match, run. Machine-readable
 results (JSON or NDJSON) go to stdout; diagnostics go to stderr. Exit codes:
-0 success, 1 usage error, 2 data or model error. Defaults for flags marked
-with an environment name can be overridden via NATCMD_* variables.
+0 success, 1 usage error, 2 data or model error, 141 stdout closed early.
+Defaults for flags marked with an environment name can be overridden via
+NATCMD_* variables.
 """
 
 from __future__ import annotations
@@ -339,7 +340,16 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the interpreter's
+        # final flush cannot raise again, and exit 128 + SIGPIPE, as a shell
+        # reports a tool killed by that signal.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

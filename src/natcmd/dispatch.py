@@ -14,12 +14,18 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 
-from .classifiers import MODEL_KINDS, GestureModel, predict
-from .dataset import _open_input, as_frame  # noqa: F401 -- as_frame: bench/spans.py rebinds it
+import numpy as np
+
+from .classifiers import _NON_FINITE_SCORE, MODEL_KINDS, GestureModel
+# Unused here: bench/spans.py's traced() rebinds dispatch.predict, and fails
+# with AttributeError without it.
+from .classifiers import predict  # noqa: F401
+from .dataset import _open_input, as_frame
 from .errors import DatasetError, StreamError
 from .voice import CommandList, EmbeddingTable, resolve_command
 
@@ -178,10 +184,13 @@ def run_gesture_stream(
     sink: Callable[[CommandEvent], None],
     clock: Callable[[], int] = system_clock,
 ) -> GestureStreamSummary:
-    """Predict frames in order and emit debounced command events.
+    """Classify frames in order and emit debounced command events.
 
-    Frames that :func:`predict` rejects are skipped with a logged warning
-    and counted in ``frames_skipped``. An event fires when
+    Each frame is classified as :func:`predict` does it, without building a
+    ``Prediction`` or reading a timer. Frames that :func:`predict` rejects
+    are skipped with a logged warning and counted in ``frames_skipped``.
+    Numpy's overflow and invalid-value warnings are off while the stream
+    runs, in the frame source and the sink too. An event fires when
     ``policy.k`` consecutive predictions agree on a label that is neither the
     suppressed label nor the action emitted last; the same action can fire
     again only after a different label has been emitted in between.
@@ -190,30 +199,38 @@ def run_gesture_stream(
     processed = 0
     skipped = 0
     run_length = 0
-    current: str | None = None
-    last_emitted: str | None = None
+    k = policy.k
+    score, operands, labels = MODEL_KINDS[model.kind].score, model._operands, model.label_set
+    # the debounce compares label indices; None matches no index
+    suppress = (labels.index(policy.suppress_label)
+                if policy.suppress_label in labels else None)
+    current: int | None = None
+    last_emitted: int | None = None
     emit = _emitter(GESTURE_SOURCE, sink, clock)
-    for raw in frames:
-        try:
-            pred = predict(model, raw)
-        except DatasetError as exc:
-            skipped += 1
-            logger.warning("skipping invalid frame: %s", exc)
-            continue
-        processed += 1
-        if pred.label == current:
-            run_length += 1
-        else:
-            current = pred.label
-            run_length = 1
-        if (
-            run_length >= policy.k
-            and current != policy.suppress_label
-            and current != last_emitted
-        ):
-            emit(current, gesture_confidence(model, pred.scores))
-            last_emitted = current
-            events += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for raw in frames:
+            try:
+                x = as_frame(raw)
+            except DatasetError as exc:
+                skipped += 1
+                logger.warning("skipping invalid frame: %s", exc)
+                continue
+            s = score(operands, x)
+            idx = int(s.argmax())
+            if not math.isfinite(s[idx]):
+                skipped += 1
+                logger.warning("skipping invalid frame: %s", _NON_FINITE_SCORE)
+                continue
+            processed += 1
+            if idx == current:
+                run_length += 1
+            else:
+                current = idx
+                run_length = 1
+            if run_length >= k and idx != suppress and idx != last_emitted:
+                emit(labels[idx], gesture_confidence(model, s))
+                last_emitted = idx
+                events += 1
     return GestureStreamSummary(
         events_emitted=events, frames_processed=processed, frames_skipped=skipped
     )

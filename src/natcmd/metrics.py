@@ -125,9 +125,10 @@ def evaluate_model(model: GestureModel, test: LabeledDataset) -> EvaluationRepor
     unknown = set(test.label_set) - set(model.label_set)
     if unknown:
         raise MetricError(f"test labels unknown to the model: {sorted(unknown)}")
-    # scoring and argmax are what predict_batch times; test frames are valid
+    # scoring and argmax are what predict_batch times; a frame whose winning
+    # score overflows raises the DatasetError that predict raises
     start = time.perf_counter()
-    predicted = classifiers.scores(model, test.frames).argmax(axis=1)
+    predicted = classifiers._winners(classifiers.scores(model, test.frames))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     index = {label: i for i, label in enumerate(model.label_set)}
     true = np.fromiter(map(index.__getitem__, test.labels), dtype=np.int64, count=len(test))

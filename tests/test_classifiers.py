@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from natcmd import (
     train_linear_svm,
     train_mlp,
 )
-from natcmd.classifiers import svm_objective
+from natcmd.classifiers import MODEL_KINDS, svm_objective
 from natcmd.errors import DatasetError, ModelError, TrainingError
 
 
@@ -514,3 +515,109 @@ class TestSerialization:
         with pytest.raises(ModelError, match="label_set contains duplicates"):
             GestureModel(kind="svm", label_set=("a", "b", "a"),
                          params={"weights": np.zeros((3, FRAME_SIZE + 1))})
+
+
+def reference_mlp_scores(params, x):
+    """The MLP scoring expressions the in-place kernel replaced."""
+    z1 = x @ params["w1"] + params["b1"]
+    h = np.maximum(0.0, z1)
+    logits = h @ params["w2"] + params["b2"]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestMlpScoreAgainstReference:
+    """Differential: the in-place MLP kernel is bit-identical to the plain
+    expressions, frame by frame and batch by batch."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        _, ds = separable_dataset(per_label=30, labels=tuple("abcde"))
+        trained = train_mlp(ds, MlpConfig(learning_rate=0.1, epochs=5, seed=4))
+        # exact-zero pre-activations on every frame: hidden units 10-19 have
+        # zero weights, and a bias of -0.0 (units 10-14) or +0.0 (15-19)
+        params = {name: arr.copy() for name, arr in trained.params.items()}
+        params["w1"][:, 10:20] = 0.0
+        params["b1"][10:15] = -0.0
+        params["b1"][15:20] = 0.0
+        zeros = GestureModel(kind="mlp", label_set=trained.label_set, params=params)
+        anchor = np.random.default_rng(40).uniform(-1.0, 1.0, FRAME_SIZE)
+        return {"trained": trained, "zeros": zeros}, anchor
+
+    @staticmethod
+    def assert_same(model, x):
+        got = MODEL_KINDS["mlp"].score(model._operands, x)
+        want = reference_mlp_scores(model.params, x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["trained", "zeros"])
+    def test_single_frames(self, models, name):
+        by_name, anchor = models
+        rng = np.random.default_rng(41)
+        frames = [anchor, -np.abs(anchor), np.zeros(FRAME_SIZE),
+                  *rng.uniform(-1.0, 1.0, (20, FRAME_SIZE))]
+        for frame in frames:
+            self.assert_same(by_name[name], frame)
+
+    @pytest.mark.parametrize("n", [1, 7, 256, 600])
+    @pytest.mark.parametrize("name", ["trained", "zeros"])
+    def test_batches_c_and_fortran_order(self, models, name, n):
+        by_name, anchor = models
+        batch = np.random.default_rng(n).uniform(-1.0, 1.0, (n, FRAME_SIZE))
+        batch[0] = anchor
+        if n > 2:
+            batch[1] = 0.0
+        for x in (batch, np.asfortranarray(batch)):
+            self.assert_same(by_name[name], x)
+
+    def test_zero_pre_activations_are_exercised(self, models):
+        by_name, anchor = models
+        params = by_name["zeros"].params
+        for x in (anchor, -np.abs(anchor), np.zeros(FRAME_SIZE)):
+            z = x @ params["w1"] + params["b1"]
+            assert np.count_nonzero(z == 0.0) >= 10
+
+
+def overflowing_frame(model) -> np.ndarray:
+    """63 finite coordinates that drive the first SVM margin, or the first
+    MLP hidden unit, to +inf: 1.7e308 signed like that unit's weights."""
+    first = model.params["weights"][0, :-1] if model.kind == "svm" else model.params["w1"][:, 0]
+    return np.where(first < 0, -1.7e308, 1.7e308)
+
+
+@pytest.mark.parametrize("kind", ["svm", "mlp"])
+class TestNonFiniteWinningScore:
+    """A frame of finite coordinates whose winning score overflows is invalid,
+    and numpy's overflow warnings for it stay silent."""
+
+    def test_predict_raises(self, both_kinds, kind):
+        model = both_kinds[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="non-finite winning score"):
+                predict(model, overflowing_frame(model))
+
+    def test_predict_batch_raises_what_predict_raises(self, both_kinds, kind):
+        model = both_kinds[kind]
+        rows = np.random.default_rng(35).uniform(0.0, 1.0, (5, FRAME_SIZE))
+        rows[3] = overflowing_frame(model)
+        with pytest.raises(DatasetError) as single_exc:
+            predict(model, rows[3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError) as batch_exc:
+                predict_batch(model, rows)
+        assert str(batch_exc.value) == str(single_exc.value)
+
+
+def test_non_finite_losing_score_is_not_rejected():
+    weights = np.zeros((2, FRAME_SIZE + 1))
+    weights[1, :-1] = 1.0
+    model = GestureModel(kind="svm", label_set=("a", "b"), params={"weights": weights})
+    frame = np.full(FRAME_SIZE, -1.7e308)  # the margin of "b" overflows to -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert predict(model, frame).label == "a"
+        assert [p.label for p in predict_batch(model, [frame, frame])] == ["a", "a"]

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -385,6 +387,24 @@ class TestMissingVoiceFiles:
         assert out == ""
         assert f"error: {message}: {missing}" in err
         assert replays == []
+
+
+class TestClosedStdout:
+    def test_closed_stdout_exits_141_without_traceback(self, embeddings_file):
+        """A reader that closes the pipe early, as ``| head -c 10`` does: exit
+        128 + SIGPIPE as a shell reports for a tool killed by it, and
+        nothing on stderr."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "natcmd.cli", "match",
+             "--embeddings", embeddings_file, "--text", "move forward"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert b"Traceback" not in err
+        assert err == b""
 
 
 class TestUsage:

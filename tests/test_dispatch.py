@@ -1,11 +1,15 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from natcmd import (
+    FRAME_SIZE,
     CannedTranscriptionProvider,
     CommandEvent,
+    GestureModel,
+    MlpConfig,
     ReplayClock,
     StabilityPolicy,
     SvmConfig,
@@ -15,12 +19,16 @@ from natcmd import (
     generate_synthetic_dataset,
     run_gesture_stream,
     run_voice_stream,
+    predict,
     synthetic_prototypes,
     train_linear_svm,
+    train_mlp,
 )
-from natcmd.dispatch import gesture_confidence
-from natcmd.errors import StreamError
+from natcmd import dispatch
+from natcmd.dispatch import GestureStreamSummary, gesture_confidence
+from natcmd.errors import DatasetError, StreamError
 from natcmd.voice import default_command_list
+from test_classifiers import overflowing_frame
 from test_voice import fixture_table
 
 
@@ -363,3 +371,140 @@ class TestConfidence:
         assert gesture_confidence(FakeModel(), np.array([0.0, -1.0])) == pytest.approx(0.5)
         assert gesture_confidence(FakeModel(), np.array([100.0])) == pytest.approx(1.0)
         assert 0.0 < gesture_confidence(FakeModel(), np.array([-100.0])) < 0.5
+
+
+def reference_gesture_stream(model, frames, policy, sink, clock):
+    """The runner loop before it scored frames itself, as the reference: one
+    ``predict`` per frame and a debounce that compares label strings."""
+    events = 0
+    processed = 0
+    skipped = 0
+    run_length = 0
+    current = None
+    last_emitted = None
+    emit = dispatch._emitter(dispatch.GESTURE_SOURCE, sink, clock)
+    for raw in frames:
+        try:
+            pred = predict(model, raw)
+        except DatasetError as exc:
+            skipped += 1
+            dispatch.logger.warning("skipping invalid frame: %s", exc)
+            continue
+        processed += 1
+        if pred.label == current:
+            run_length += 1
+        else:
+            current = pred.label
+            run_length = 1
+        if (
+            run_length >= policy.k
+            and current != policy.suppress_label
+            and current != last_emitted
+        ):
+            emit(current, gesture_confidence(model, pred.scores))
+            last_emitted = current
+            events += 1
+    return GestureStreamSummary(
+        events_emitted=events, frames_processed=processed, frames_skipped=skipped
+    )
+
+
+STREAM_LABELS = ("fist", "neutral", "one", "palm", "two")
+
+
+@pytest.fixture(scope="module")
+def stream_models():
+    """Trained models of both kinds, plus copies in which "neutral" and
+    "palm" score one constant: exact ties, which win on their own frames."""
+    spec = SyntheticSpec(label_set=STREAM_LABELS, frames_per_label=30,
+                         noise_sigma=0.02, seed=21)
+    ds = generate_synthetic_dataset(spec)
+    svm = train_linear_svm(ds, SvmConfig(seed=21))
+    mlp = train_mlp(ds, MlpConfig(learning_rate=0.1, epochs=5, seed=21))
+    # zero weights: every frame scores exactly the bias, 0 for the SVM (the
+    # other margins are negative on these frames) and 1.2 for the MLP (the
+    # other logits stay under 1 on them, and over 2 on their own frames)
+    weights = svm.params["weights"].copy()
+    weights[[1, 3]] = 0.0
+    mlp_tie = {name: arr.copy() for name, arr in mlp.params.items()}
+    mlp_tie["w2"][:, [1, 3]] = 0.0
+    mlp_tie["b2"][[1, 3]] = 1.2
+    models = {
+        "svm": svm,
+        "mlp": mlp,
+        "svm tie": GestureModel(kind="svm", label_set=STREAM_LABELS,
+                                params={"weights": weights}),
+        "mlp tie": GestureModel(kind="mlp", label_set=STREAM_LABELS, params=mlp_tie),
+    }
+    return models, synthetic_prototypes(spec)
+
+
+def seeded_stream(seed, protos, model):
+    """Holds of 1-8 frames of random labels, each frame an array, a list or
+    a tuple of numeric strings; about one frame in twelve is invalid: a NaN,
+    an inf, 62 or 64 values, text, or finite values whose winning score
+    overflows."""
+    rng = np.random.default_rng(seed)
+    overflowing = overflowing_frame(model)
+    frames = []
+    while len(frames) < 300:
+        label = STREAM_LABELS[rng.integers(len(STREAM_LABELS))]
+        for _ in range(int(rng.integers(1, 9))):
+            frame = protos[label] + rng.normal(0.0, 0.05, FRAME_SIZE)
+            bad = int(rng.integers(72))
+            if bad == 0:
+                frame[rng.integers(FRAME_SIZE)] = np.nan
+            elif bad == 1:
+                frame[rng.integers(FRAME_SIZE)] = -np.inf
+            elif bad == 2:
+                frame = frame[:-1]
+            elif bad == 3:
+                frame = np.append(frame, 0.5)
+            elif bad == 4:
+                frame = ["x"] * FRAME_SIZE
+            elif bad in (5, 6):
+                frame = overflowing.copy()
+            form = int(rng.integers(3))
+            if isinstance(frame, np.ndarray) and form == 1:
+                frame = frame.tolist()
+            elif isinstance(frame, np.ndarray) and form == 2:
+                frame = tuple(repr(v) for v in frame.tolist())
+            frames.append(frame)
+    return frames
+
+
+class TestGestureStreamAgainstReference:
+    """Differential: the runner that scores and debounces on label indices
+    against the predict-based loop it replaced."""
+
+    @staticmethod
+    def replay(runner, model, frames, policy, caplog):
+        caplog.clear()
+        events, sink = collect()
+        clock = ReplayClock()
+        summary = runner(model, clock.drive(frames, 40), policy, sink, clock.now)
+        wire = [(e.source, e.action_id, e.ts_ms, float(e.confidence).hex()) for e in events]
+        return wire, summary, [r.getMessage() for r in caplog.records]
+
+    @pytest.mark.parametrize("suppress", ["neutral", "absent"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("name", ["svm", "mlp", "svm tie", "mlp tie"])
+    def test_same_events_summary_and_warnings(self, stream_models, caplog, name, k, suppress):
+        models, protos = stream_models
+        model = models[name]
+        policy = StabilityPolicy(k=k, suppress_label=suppress)
+        emitted = set()
+        skipped = 0
+        with caplog.at_level(logging.WARNING, logger="natcmd.dispatch"):
+            for seed in range(4):
+                frames = seeded_stream([seed, k], protos, model)
+                got = self.replay(run_gesture_stream, model, frames, policy, caplog)
+                want = self.replay(reference_gesture_stream, model, frames, policy, caplog)
+                assert got == want
+                emitted.update(action for _, action, _, _ in got[0])
+                skipped += got[1].frames_skipped
+        # the streams exercise what the test is for
+        assert skipped > 0
+        assert ("neutral" in emitted) == (suppress == "absent")
+        # ties go to the lower index
+        assert ("palm" in emitted) == (not name.endswith("tie"))

@@ -3,11 +3,14 @@
 A frame is 63 finite numbers, and a coordinate is any token Python's
 ``float()`` reads. The dataset CSV and JSONL loaders and ``natcmd predict
 --frame`` reject a bad frame with a ParseError naming its line; ``natcmd run
---frames`` skips it and counts it in ``frames_skipped``.
+--frames`` skips it and counts it in ``frames_skipped``. A frame of finite
+coordinates whose winning score overflows to inf or NaN is invalid too:
+``natcmd predict`` exits 2 and ``natcmd run`` skips it.
 """
 
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from natcmd import (
 from natcmd.cli import _read_frame_file, run_cli
 from natcmd.dataset import CSV_HEADER, as_frames
 from natcmd.errors import DatasetError, ParseError
+from test_classifiers import overflowing_frame
 
 FILL = "0.25"
 GOOD_LINE = ",".join([FILL] * FRAME_SIZE)
@@ -54,15 +58,15 @@ def model_path(tmp_path_factory):
 
 @pytest.fixture()
 def scored(monkeypatch):
-    """Every validated frame that reaches the scoring kernel, in order."""
+    """Every validated frame that reaches the SVM scoring kernel, in order."""
     frames = []
-    real = natcmd.classifiers.scores
+    kind = natcmd.classifiers.MODEL_KINDS["svm"]
 
-    def record(model, x):
+    def record(operands, x):
         frames.append(x.copy())
-        return real(model, x)
+        return kind.score(operands, x)
 
-    monkeypatch.setattr(natcmd.classifiers, "scores", record)
+    monkeypatch.setitem(natcmd.classifiers.MODEL_KINDS, "svm", replace(kind, score=record))
     return frames
 
 
@@ -106,8 +110,9 @@ def test_every_entry_point_applies_one_frame_rule(
         for name, read in readers.items():
             assert read().tobytes() == want, name
         assert predict_code == 0
-        assert scored[0].tobytes() == want  # predict --frame
-        assert scored[-1].tobytes() == want  # the second frame of run
+        assert len(scored) == 3  # predict --frame, then both frames of run
+        assert scored[0].tobytes() == want
+        assert scored[-1].tobytes() == want
         assert (summary["frames_processed"], summary["frames_skipped"]) == (2, 0)
         assert caplog.records == []
     else:
@@ -154,3 +159,42 @@ def test_integer_too_large_for_float64_is_a_bad_frame(tmp_path):
     with pytest.raises(ParseError) as info:
         load_landmark_dataset(path)
     assert info.value.line == 1
+
+
+@pytest.fixture(scope="module", params=["svm", "mlp"])
+def overflowing(request, tmp_path_factory):
+    """(model path, path of six lines of a frame whose winning score is not finite)."""
+    rng = np.random.default_rng(1)
+    if request.param == "svm":
+        params = {"weights": rng.normal(size=(3, FRAME_SIZE + 1))}
+    else:
+        params = {"w1": rng.normal(size=(FRAME_SIZE, 4)), "b1": rng.normal(size=4),
+                  "w2": rng.normal(size=(4, 3)), "b2": rng.normal(size=3)}
+    model = GestureModel(kind=request.param, label_set=("a", "b", "c"), params=params)
+    directory = tmp_path_factory.mktemp(request.param)
+    path = str(directory / "m.json")
+    save_model(model, path)
+    line = ",".join(map(repr, overflowing_frame(model).tolist()))
+    return path, write_lines(directory / "frames.txt", [line] * 6)
+
+
+def test_non_finite_winning_score_rejected_by_predict(overflowing, capsys):
+    model_path, frames_path = overflowing
+    assert run_cli(["predict", "--model", model_path, "--frame", frames_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: frame gives a non-finite winning score\n"  # no numpy warning
+
+
+def test_non_finite_winning_score_skipped_by_run(overflowing, capsys, caplog):
+    model_path, frames_path = overflowing
+    with caplog.at_level(logging.WARNING, logger="natcmd.dispatch"):
+        code = run_cli(["run", "--model", model_path, "--frames", frames_path,
+                        "--k", "1", "--suppress", "none"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == ""
+    assert err.splitlines() == [json.dumps({"gesture": {
+        "events_emitted": 0, "frames_processed": 0, "frames_skipped": 6}})]
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping invalid frame: frame gives a non-finite winning score"] * 6

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from natcmd import (
     train_mlp,
 )
 from natcmd.metrics import render_report
-from natcmd.errors import MetricError
+from natcmd.errors import DatasetError, MetricError
 
 
 def brute_force_metrics(true, pred, label_set):
@@ -216,6 +218,29 @@ class TestEvaluateModel:
         alien = LabeledDataset(frames=ds.frames[:2], labels=("zz", "zz"))
         with pytest.raises(MetricError):
             evaluate_model(model, alien)
+
+    @pytest.mark.parametrize("kind", ["svm", "mlp"])
+    def test_non_finite_winning_score_rejected(self, kind):
+        """A finite frame whose winning score overflows is invalid, as in
+        predict; numpy's overflow warnings for it stay silent."""
+        model = zero_model(kind, ("a", "b", "c"))
+        params = {name: arr.copy() for name, arr in model.params.items()}
+        if kind == "svm":
+            params["weights"][0, :2] = 1.0
+        else:
+            params["w1"][:2, 0] = 1.0
+            params["w2"][0, 1] = 1.0
+        model = GestureModel(kind=kind, label_set=model.label_set, params=params)
+        frames = np.full((40, FRAME_SIZE), 0.5)
+        frames[29, :2] = 1.7e308  # the sum of the two overflows
+        test = LabeledDataset(frames=frames, labels=("a", "b") * 20)
+        with pytest.raises(DatasetError, match="non-finite winning score") as batch_exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                evaluate_model(model, test)
+        with pytest.raises(DatasetError) as single_exc:
+            predict(model, frames[29])
+        assert str(batch_exc.value) == str(single_exc.value)
 
     def test_report_serialization(self, trained):
         model, ds = trained
