@@ -564,6 +564,8 @@ def load_model(path: str) -> GestureModel:
     training_time_ms = doc.get("training_time_ms", 0.0)
     if isinstance(training_time_ms, bool) or not isinstance(training_time_ms, (int, float)):
         raise ModelError(f"{path}: training_time_ms must be a number")
+    if isinstance(training_time_ms, float) and not math.isfinite(training_time_ms):
+        raise ModelError(f"{path}: training_time_ms must be finite")  # evaluate prints it
     try:  # np.asarray raises TypeError for a JSON object among the numbers
         arrays = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
         return GestureModel(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -223,9 +224,11 @@ def _cmd_predict(args) -> int:
     pred = classifiers.predict(model, frame)
     print(json.dumps({
         "label": pred.label,
-        "scores": {lbl: float(s) for lbl, s in zip(model.label_set, pred.scores)},
+        # only a losing score can be non-finite: it prints as null
+        "scores": {lbl: float(s) if math.isfinite(s) else None
+                   for lbl, s in zip(model.label_set, pred.scores)},
         "elapsed_ms": pred.elapsed_ms,
-    }))
+    }, allow_nan=False))
     return 0
 
 

@@ -17,7 +17,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -27,7 +27,10 @@ from .classifiers import _NON_FINITE_SCORE, MODEL_KINDS, GestureModel
 from .classifiers import predict  # noqa: F401
 from .dataset import _open_input, as_frame
 from .errors import DatasetError, StreamError
-from .voice import CommandList, EmbeddingTable, resolve_command
+from .voice import CommandList, EmbeddingTable, _command_side, _score, normalize_phrase
+# Unused here: bench/spans.py's traced() rebinds dispatch.resolve_command, and
+# fails with AttributeError without it.
+from .voice import resolve_command  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +69,6 @@ class StabilityPolicy:
             raise StreamError("stability window k must be >= 1")
 
 
-@runtime_checkable
 class TranscriptionProvider(Protocol):
     """Periodic transcript source: yields one optional string per poll.
 
@@ -246,6 +248,10 @@ def run_voice_stream(
 ) -> VoiceStreamSummary:
     """Resolve each polled transcript; accepted matches emit one event.
 
+    Each poll is resolved as :func:`resolve_command` does it, without
+    building a ``MatchResult``. The command side (each command's summed
+    token vectors and their norms) is read from ``table`` once, when the
+    stream starts; transcript words are looked up in ``table`` per poll.
     Provider errors are logged and polling continues; after
     ``max_consecutive_failures`` errors in a row the stream aborts and the
     summary says so. Silent polls (None) are counted but emit nothing.
@@ -256,6 +262,7 @@ def run_voice_stream(
     consecutive = 0
     aborted = False
     emit = _emitter(VOICE_SOURCE, sink, clock)
+    sums, sum_norms = _command_side(commands, table)
     it = iter(provider)
     while True:
         try:
@@ -277,12 +284,10 @@ def run_voice_stream(
         polls += 1
         if item is None:
             continue
-        result = resolve_command(item, commands, table)
-        if result.matched is None:
+        _, _, best, total = _score(normalize_phrase(item), commands, table, sums, sum_norms)
+        if best is None:
             continue
-        action_id, _ = result.matched
-        total = max(c.total for c in result.per_candidate)
-        emit(action_id, min(1.0, total / 2.0))
+        emit(commands.commands[best].action_id, min(1.0, total / 2.0))
         events += 1
     return VoiceStreamSummary(
         events_emitted=events, polls_processed=polls, failures=failures, aborted=aborted

@@ -14,8 +14,8 @@ ignored. Ties break toward the earlier command in the list.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,12 +66,8 @@ class TokenizedPhrase:
 
 def normalize_phrase(text: str) -> TokenizedPhrase:
     """Lowercase, drop punctuation (apostrophes survive), split on whitespace."""
-    kept = []
-    for ch in text.lower():
-        if ch.isalnum() or ch == "'" or ch.isspace():
-            kept.append(ch)
-    tokens = tuple("".join(kept).split())
-    return TokenizedPhrase(raw=text, tokens=tokens)
+    kept = "".join([ch for ch in text.lower() if ch.isalnum() or ch == "'" or ch.isspace()])
+    return TokenizedPhrase(raw=text, tokens=tuple(kept.split()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,22 +119,28 @@ def load_embeddings(path: str) -> EmbeddingTable:
     with a warning; a dimension mismatch or a value that is not a finite
     number is an error naming the line. numpy parses the values, 128 rows
     per call, and the vectors are rows of its matrices; a file it does not
-    read exactly (a ragged row, a duplicate, a token only float() reads) is
-    read per line.
+    read exactly (a ragged row, a token only float() reads) is read per line.
     """
     with _open_input(path, "embedding table", VoiceError) as fh:
         words: list[str] = []
-        text = _vector_text(fh, words)
+        linenos: list[int] = []
+        text = _vector_text(fh, words, linenos)
         try:
             # 128 rows per matrix: one matrix of a whole 10k-word table (4 MB)
             # raised peak RSS by 7% in a process that also trains models.
             blocks = [np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
                       for chunk in iter(lambda: list(itertools.islice(text, 128)), [])]
-            if (sum(map(len, blocks)) == len(words) == len(set(words))
+            if (sum(map(len, blocks)) == len(words)
                     and len({b.shape[1] for b in blocks}) == 1
                     and all(np.isfinite(b).all() for b in blocks)):
-                return EmbeddingTable(dimension=blocks[0].shape[1],  # row views, no copy
-                                      entries=dict(zip(words, itertools.chain(*blocks))))
+                # row views, no copy; a duplicate keeps its first place and last row
+                entries = dict(zip(words, itertools.chain(*blocks)))
+                if len(entries) < len(words):
+                    first: dict[str, int] = {}
+                    for word, lineno in zip(words, linenos):
+                        if first.setdefault(word, lineno) != lineno:
+                            _warn_duplicate(path, lineno, word)
+                return EmbeddingTable(dimension=blocks[0].shape[1], entries=entries)
         except ValueError:
             pass
         fh.seek(0)
@@ -165,21 +167,26 @@ def load_embeddings(path: str) -> EmbeddingTable:
             if not np.isfinite(vec).all():
                 raise VoiceError(f"{path} line {lineno}: non-finite value")
             if word in entries:
-                warnings.warn(f"{path} line {lineno}: duplicate embedding for {word!r}; "
-                              "keeping the last", stacklevel=2)
+                _warn_duplicate(path, lineno, word)
             entries[word] = vec
     if dimension is None:
         raise VoiceError(f"{path}: no embedding entries")
     return EmbeddingTable(dimension=dimension, entries=entries)
 
 
-def _vector_text(lines, words: list[str]):
+def _warn_duplicate(path: str, lineno: int, word: str) -> None:
+    warnings.warn(f"{path} line {lineno}: duplicate embedding for {word!r}; keeping the last",
+                  stacklevel=3)
+
+
+def _vector_text(lines, words: list[str], linenos: list[int]):
     """The value text of each entry line, its word appended to ``words``
-    (a word with no values adds no row)."""
+    and its line number to ``linenos`` (a word with no values adds no row)."""
     for lineno, line in enumerate(lines, start=1):
         parts = line.split(None, 1)
         if parts and not (lineno == 1 and _is_header(line.split())):
             words.append(parts[0])
+            linenos.append(lineno)
             if len(parts) == 2:
                 yield parts[1]
 
@@ -202,7 +209,7 @@ def phrase_vector(phrase: TokenizedPhrase, table: EmbeddingTable) -> np.ndarray:
     vectors = [table.entries[t] for t in phrase.tokens if t in table]
     if not vectors:
         return np.zeros(table.dimension)
-    return np.mean(vectors, axis=0)
+    return np.add.reduce(vectors, axis=0) / len(vectors)  # np.mean's arithmetic, less overhead
 
 
 def cosine_similarity(a, b) -> float:
@@ -218,15 +225,53 @@ def cosine_similarity(a, b) -> float:
     return max(0.0, float(np.dot(a, b) / (na * nb)))
 
 
-@functools.lru_cache(maxsize=1024)
-def _char_positions(s: str) -> dict[str, tuple[int, ...]]:
-    """Each character of ``s`` -> its indices in ``s``, ascending.
-
-    The cached dict is shared by every caller, so it must not be mutated."""
+def _char_positions(s: str) -> dict[str, list[int]]:
+    """Each character of ``s`` -> its indices in ``s``, ascending."""
     positions: dict[str, list[int]] = {}
     for j, ch in enumerate(s):
         positions.setdefault(ch, []).append(j)
-    return {ch: tuple(js) for ch, js in positions.items()}
+    return positions
+
+
+def _jaro(s1: str, s2: str, positions: dict[str, list[int]]) -> float:
+    """:func:`jaro` with ``positions``, the :func:`_char_positions` of ``s2``."""
+    if not s1 or not s2:
+        return float(s1 == s2)  # two empty strings score 1
+    len1, len2 = len(s1), len(s2)
+    window = max(0, max(len1, len2) // 2 - 1)
+
+    s2_hit = [False] * len2
+    s1_matched: list[str] = []
+    unmatched = len2
+    # Past i = len2 + window - 1 no index of s2 is in the window.
+    for i, ch in enumerate(s1[: len2 + window]):
+        for j in positions.get(ch, ()):
+            if j > i + window:
+                break
+            if j >= i - window and not s2_hit[j]:
+                s2_hit[j] = True
+                s1_matched.append(ch)
+                unmatched -= 1
+                break
+        if not unmatched:
+            break  # all of s2 is matched: no later character of s1 can match
+    matches = len(s1_matched)
+    if matches == 0:
+        return 0.0
+
+    transpositions = sum(map(operator.ne, s1_matched, itertools.compress(s2, s2_hit))) / 2.0
+    return (matches / len1 + matches / len2 + (matches - transpositions) / matches) / 3.0
+
+
+def _jaro_winkler(s1: str, s2: str, positions: dict[str, list[int]]) -> float:
+    """:func:`jaro_winkler` with ``positions``, the :func:`_char_positions` of ``s2``."""
+    j = _jaro(s1, s2, positions)
+    prefix = 0
+    for c1, c2 in zip(s1, s2):
+        if c1 != c2 or prefix >= WINKLER_MAX_PREFIX:
+            break
+        prefix += 1
+    return j + prefix * WINKLER_PREFIX_SCALE * (1.0 - j)
 
 
 def jaro(s1: str, s2: str) -> float:
@@ -237,48 +282,15 @@ def jaro(s1: str, s2: str) -> float:
     transpositions. Two empty strings score 1, no matches score 0.
 
     Each character of ``s1`` takes the first unmatched equal character of
-    ``s2`` in its window, looked up in a position map of ``s2``.
+    ``s2`` in its window, looked up in a position map of ``s2``; the scan
+    stops once every character of ``s2`` is matched.
     """
-    if not s1 and not s2:
-        return 1.0
-    if not s1 or not s2:
-        return 0.0
-    len1, len2 = len(s1), len(s2)
-    window = max(0, max(len1, len2) // 2 - 1)
-    positions = _char_positions(s2)
-
-    s2_hit = [False] * len2
-    s1_matched: list[str] = []
-    # Past i = len2 + window - 1 no index of s2 is in the window.
-    for i, ch in enumerate(s1[: len2 + window]):
-        for j in positions.get(ch, ()):
-            if j > i + window:
-                break
-            if j >= i - window and not s2_hit[j]:
-                s2_hit[j] = True
-                s1_matched.append(ch)
-                break
-    matches = len(s1_matched)
-    if matches == 0:
-        return 0.0
-
-    s2_matched = [ch for ch, hit in zip(s2, s2_hit) if hit]
-    mismatched = sum(a != b for a, b in zip(s1_matched, s2_matched))
-    transpositions = mismatched / 2.0
-    return (
-        matches / len1 + matches / len2 + (matches - transpositions) / matches
-    ) / 3.0
+    return _jaro(s1, s2, _char_positions(s2))
 
 
 def jaro_winkler(s1: str, s2: str) -> float:
     """Jaro boosted by a shared prefix: j + l * 0.1 * (1 - j), l capped at 4."""
-    j = jaro(s1, s2)
-    prefix = 0
-    for c1, c2 in zip(s1, s2):
-        if c1 != c2 or prefix >= WINKLER_MAX_PREFIX:
-            break
-        prefix += 1
-    return j + prefix * WINKLER_PREFIX_SCALE * (1.0 - j)
+    return _jaro_winkler(s1, s2, _char_positions(s2))
 
 
 @dataclass(frozen=True)
@@ -292,11 +304,12 @@ class Command:
 @dataclass(frozen=True, eq=False)
 class CommandList:
     """The commands, plus what resolving needs of their phrases, computed once:
-    each canonical string, all tokens in one tuple, and a (C, T) 0/1 matrix
-    whose row c marks the tokens of command c."""
+    each canonical string and its Jaro position map, all tokens in one tuple,
+    and a (C, T) 0/1 matrix whose row c marks the tokens of command c."""
 
     commands: tuple[Command, ...]
     _canonicals: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _positions: tuple[dict, ...] = field(init=False, repr=False, compare=False)
     _tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _token_owner: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -318,6 +331,7 @@ class CommandList:
         owner.flags.writeable = False
         object.__setattr__(self, "commands", commands)
         object.__setattr__(self, "_canonicals", canonicals)
+        object.__setattr__(self, "_positions", tuple(map(_char_positions, canonicals)))
         object.__setattr__(self, "_tokens", tokens)
         object.__setattr__(self, "_token_owner", owner)
 
@@ -384,6 +398,35 @@ class MatchResult:
     transcript: TokenizedPhrase
 
 
+def _command_side(commands: CommandList, table: EmbeddingTable):
+    """Each command's summed token vectors, (C, d), read from ``table.entries``
+    (0 for a token it lacks), and their row norms."""
+    absent = np.zeros(table.dimension)
+    token_vecs = np.array([table.entries.get(t, absent) for t in commands._tokens])
+    sums = commands._token_owner @ token_vecs
+    return sums, np.linalg.norm(sums, axis=1)
+
+
+def _score(phrase: TokenizedPhrase, commands: CommandList, table: EmbeddingTable,
+           sums: np.ndarray, sum_norms: np.ndarray):
+    """Every command's cosine and Jaro-Winkler value against ``phrase``, as
+    lists in command order, then the best index and total. Ties go to the
+    earlier command; the index is None unless the total exceeds the
+    threshold. ``sums`` and ``sum_norms`` are the :func:`_command_side`."""
+    tvec = phrase_vector(phrase, table)
+    norms = sum_norms * np.linalg.norm(tvec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = (sums @ tvec) / norms
+    cosines[~(cosines > 0.0)] = 0.0  # clamp at 0; a zero norm gives 0/0 -> 0
+    cosines = cosines.tolist()
+    jws = list(map(_jaro_winkler, itertools.repeat(phrase.canonical), commands._canonicals,
+                   commands._positions))
+    totals = list(map(operator.add, cosines, jws))
+    best_total = max(totals)
+    best = totals.index(best_total) if best_total > MATCH_THRESHOLD else None
+    return cosines, jws, best, best_total
+
+
 def resolve_command(
     transcript: str, commands: CommandList, table: EmbeddingTable
 ) -> MatchResult:
@@ -397,29 +440,10 @@ def resolve_command(
     from :func:`cosine_similarity` of the mean vectors.
     """
     phrase = normalize_phrase(transcript)
-    tvec = phrase_vector(phrase, table)
-    absent = np.zeros(table.dimension)
-    token_vecs = np.array([table.entries.get(t, absent) for t in commands._tokens])
-    sums = commands._token_owner @ token_vecs
-    norms = np.linalg.norm(sums, axis=1) * np.linalg.norm(tvec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosines = (sums @ tvec) / norms
-    cosines[~(cosines > 0.0)] = 0.0  # clamp at 0; a zero norm gives 0/0 -> 0
-    scored: list[CandidateScore] = []
-    best_idx = 0
-    best_total = float("-inf")
-    for idx, (cmd, canonical, cos) in enumerate(
-        zip(commands.commands, commands._canonicals, cosines.tolist())
-    ):
-        jw = jaro_winkler(phrase.canonical, canonical)
-        scored.append(CandidateScore(phrase=cmd.phrase, cosine=cos, jaro_winkler=jw))
-        if scored[-1].total > best_total:
-            best_total = scored[-1].total
-            best_idx = idx
-    matched = None
-    if best_total > MATCH_THRESHOLD:
-        best_cmd = commands.commands[best_idx]
-        matched = (best_cmd.action_id, best_cmd.phrase)
+    cosines, jws, best, _ = _score(phrase, commands, table, *_command_side(commands, table))
+    best_cmd = None if best is None else commands.commands[best]
     return MatchResult(
-        matched=matched, per_candidate=tuple(scored), transcript=phrase
+        matched=None if best_cmd is None else (best_cmd.action_id, best_cmd.phrase),
+        per_candidate=tuple(map(CandidateScore, [c.phrase for c in commands], cosines, jws)),
+        transcript=phrase,
     )

@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+import natcmd.classifiers
 import natcmd.cli
 import natcmd.dataset
 from natcmd import SyntheticSpec, dispatch, synthetic_prototypes
 from natcmd.cli import run_cli
 from natcmd.errors import ModelError, NatcmdError, StreamError, VoiceError
+from test_fuzz import reject_constant
 
 
 def run(capsys, *argv):
@@ -118,6 +120,20 @@ class TestPredict:
         doc = json.loads(out)
         assert doc["label"] == "up"
         assert set(doc["scores"]) == {"up", "down", "stop"}
+
+    def test_non_finite_losing_score_prints_null(self, tmp_path, capsys):
+        weights = np.zeros((2, 64))
+        weights[1, :-1] = 1.0
+        model_path = str(tmp_path / "m.json")
+        natcmd.classifiers.save_model(natcmd.classifiers.GestureModel(
+            kind="svm", label_set=("a", "b"), params={"weights": weights}), model_path)
+        frame_path = str(tmp_path / "frame.txt")
+        with open(frame_path, "w") as fh:
+            fh.write(",".join(["-1.7e308"] * 63) + "\n")  # the margin of "b" is -inf
+        code, out, _ = run(capsys, "predict", "--model", model_path, "--frame", frame_path)
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject_constant)
+        assert (doc["label"], doc["scores"]) == ("a", {"a": 0.0, "b": None})
 
     def test_62_values_exits_2(self, small_data, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")
@@ -596,6 +612,15 @@ class TestBadModelFiles:
         code, out, err = self.predict_with(doc, tmp_path, capsys)
         assert (code, out) == (2, "")
         assert "training_time_ms must be a number" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_training_time_not_finite_exits_2(self, value, model_path, tmp_path, capsys):
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["training_time_ms"] = float(value)  # json writes it back as the bare token
+        code, out, err = self.predict_with(doc, tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("training_time_ms must be finite\n")
 
     @pytest.mark.parametrize("field", ["training_time_ms", "weights"])
     def test_int_too_large_for_float64_exits_2(self, field, model_path, tmp_path, capsys):

@@ -25,11 +25,12 @@ from natcmd import (
     train_mlp,
 )
 from natcmd import dispatch
-from natcmd.dispatch import GestureStreamSummary, gesture_confidence
-from natcmd.errors import DatasetError, StreamError
-from natcmd.voice import default_command_list
+from natcmd.dispatch import GestureStreamSummary, VoiceStreamSummary, gesture_confidence
+from natcmd.errors import DatasetError, StreamError, VoiceError
+from natcmd.voice import (EmbeddingTable, default_command_list, load_command_list,
+                          normalize_phrase)
 from test_classifiers import overflowing_frame
-from test_voice import fixture_table
+from test_voice import fixture_table, oracle_transcripts, reference_jaro_winkler
 
 
 @pytest.fixture(scope="module")
@@ -508,3 +509,193 @@ class TestGestureStreamAgainstReference:
         assert ("neutral" in emitted) == (suppress == "absent")
         # ties go to the lower index
         assert ("palm" in emitted) == (not name.endswith("tie"))
+
+
+def reference_resolve(transcript, commands, table):
+    """The resolver before the stream prepared its command side, with the
+    textbook Jaro-Winkler and ``np.mean``: (index of the accepted command or
+    None, best total)."""
+    phrase = normalize_phrase(transcript)
+    if len(table) == 0:
+        raise VoiceError("embedding table is empty")
+    vectors = [table.entries[t] for t in phrase.tokens if t in table]
+    tvec = np.mean(vectors, axis=0) if vectors else np.zeros(table.dimension)
+    absent = np.zeros(table.dimension)
+    token_vecs = np.array([table.entries.get(t, absent) for t in commands._tokens])
+    sums = commands._token_owner @ token_vecs
+    norms = np.linalg.norm(sums, axis=1) * np.linalg.norm(tvec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = (sums @ tvec) / norms
+    cosines[~(cosines > 0.0)] = 0.0
+    best_idx, best_total = 0, float("-inf")
+    for idx, (cmd, cos) in enumerate(zip(commands, cosines.tolist())):
+        jw = reference_jaro_winkler(phrase.canonical, normalize_phrase(cmd.phrase).canonical)
+        if cos + jw > best_total:
+            best_idx, best_total = idx, cos + jw
+    return (best_idx if best_total > 1.0 else None), best_total
+
+
+def reference_voice_stream(provider, commands, table, sink, clock, max_consecutive_failures=5):
+    """The voice runner loop before this one, as the reference: one resolve
+    per poll, then the best total for the confidence."""
+    events = polls = failures = consecutive = 0
+    aborted = False
+    emit = dispatch._emitter(dispatch.VOICE_SOURCE, sink, clock)
+    it = iter(provider)
+    while True:
+        try:
+            item = next(it)
+        except StopIteration:
+            break
+        except Exception as exc:
+            failures += 1
+            consecutive += 1
+            dispatch.logger.warning("transcription poll failed: %s", exc)
+            if consecutive >= max_consecutive_failures:
+                dispatch.logger.error(
+                    "aborting voice stream after %d consecutive failures", consecutive)
+                aborted = True
+                break
+            continue
+        consecutive = 0
+        polls += 1
+        if item is None:
+            continue
+        best, total = reference_resolve(item, commands, table)
+        if best is None:
+            continue
+        emit(commands.commands[best].action_id, min(1.0, total / 2.0))
+        events += 1
+    return VoiceStreamSummary(
+        events_emitted=events, polls_processed=polls, failures=failures, aborted=aborted)
+
+
+class ScriptedProvider:
+    """Polls from a list; an exception in it is raised by that pull. Each
+    pull advances the clock by one interval and is counted."""
+
+    poll_interval_ms = dispatch.DEFAULT_POLL_INTERVAL_MS
+
+    def __init__(self, items, clock):
+        self.items, self.clock, self.pulls = items, clock, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.pulls == len(self.items):
+            raise StopIteration
+        item = self.items[self.pulls]
+        self.pulls += 1
+        self.clock.advance(self.poll_interval_ms)
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+
+# Shared prefixes; "halt now" has no token in the table and "zero zero" a
+# zero vector, so their exact phrases total exactly 1.0; "run x" ties
+# "run y" with "run z".
+VOICE_TSV = (
+    "look\tlook\n"
+    "look_at\tlook at\n"
+    "look_at_it\tlook at it\n"
+    "look_up\tLook up!\n"
+    "run_y\trun y\n"
+    "run_z\trun z\n"
+    "halt\thalt now\n"
+    "zero\tzero zero\n"
+    "move_forward\tmove forward\n"
+)
+PINNED_POLLS = ["run x", "halt now", "zero zero", "zero", "", "look at it", "RUN   X!"]
+
+
+def voice_script(commands, seed, failures=False):
+    """Seeded polls: silence, noisy exact phrases, gibberish, empty or
+    punctuation-only text, 4-12-word utterances, non-ASCII text, the pinned
+    polls, and with ``failures`` runs of 1-4 provider errors (too few to abort)."""
+    rng = np.random.default_rng(seed)
+    vocabulary = sorted({w for cmd in commands for w in cmd.phrase.split()}
+                        | {"run", "x", "zero", "walk", "please", "the", "now", "xyzzy"})
+    items = oracle_transcripts(commands, vocabulary, 150, seed) + PINNED_POLLS
+    items = [items[i] for i in rng.permutation(len(items))]
+    for i in sorted(rng.choice(len(items), 40, replace=False), reverse=True):
+        items.insert(int(i), None)
+    if failures:
+        for i in sorted(rng.choice(len(items), 6, replace=False), reverse=True):
+            n = int(rng.integers(1, 5))
+            items[int(i):int(i)] = [RuntimeError(f"glitch {i}.{k}") for k in range(n)]
+    return items
+
+
+class TestVoiceStreamAgainstReference:
+    """Differential: the runner that prepares the command side once against
+    the resolve-per-poll loop it replaced."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("voice") / "cmds.tsv"
+        path.write_text(VOICE_TSV, encoding="utf-8")
+        rng = np.random.default_rng(5)
+        table = fixture_table(run=np.ones(16), zero=np.zeros(16), at=rng.normal(0, 1, 16),
+                              walk=rng.normal(0, 1, 16), señal=rng.normal(0, 1, 16))
+        return {"default": default_command_list(), "tsv": load_command_list(str(path))}, table
+
+    @staticmethod
+    def replay(runner, items, commands, table, caplog, max_failures=5):
+        caplog.clear()
+        events, sink = collect()
+        clock = ReplayClock()
+        provider = ScriptedProvider(items, clock)
+        try:
+            outcome = runner(provider, commands, table, sink, clock.now, max_failures)
+        except VoiceError as exc:
+            outcome = str(exc)
+        wire = [(e.source, e.action_id, e.ts_ms, float(e.confidence).hex()) for e in events]
+        return wire, outcome, provider.pulls, [r.getMessage() for r in caplog.records]
+
+    def check(self, items, commands, table, caplog, max_failures=5):
+        with caplog.at_level(logging.WARNING, logger="natcmd.dispatch"):
+            got = self.replay(run_voice_stream, items, commands, table, caplog, max_failures)
+            want = self.replay(reference_voice_stream, items, commands, table, caplog,
+                               max_failures)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("failures", [False, True])
+    @pytest.mark.parametrize("name", ["default", "tsv"])
+    def test_same_events_summary_and_warnings(self, setup, caplog, name, failures):
+        lists, table = setup
+        commands = lists[name]
+        actions = set()
+        for seed in range(3):
+            wire, summary, _, logged = self.check(
+                voice_script(commands, seed, failures), commands, table, caplog)
+            actions.update(action for _, action, _, _ in wire)
+            assert summary.failures == sum(m.startswith("transcription poll failed")
+                                           for m in logged)
+        # the polls exercise what the test is for
+        assert len(actions) >= 5
+        if name == "tsv":  # the pinned polls reach a tie and the threshold
+            assert commands.commands[reference_resolve("run x", commands, table)[0]].action_id \
+                == "run_y"
+            assert reference_resolve("halt now", commands, table) == (None, 1.0)
+            assert reference_resolve("zero zero", commands, table) == (None, 1.0)
+
+    def test_abort_after_consecutive_failures(self, setup, caplog):
+        lists, table = setup
+        items = ["look up", None, RuntimeError("a"), "zoom in", RuntimeError("b"),
+                 RuntimeError("c"), RuntimeError("d"), "zoom out"]
+        wire, summary, pulls, logged = self.check(items, lists["default"], table, caplog,
+                                                  max_failures=3)
+        assert summary.aborted and pulls == 7 and len(wire) == 2
+        assert logged[-1] == "aborting voice stream after 3 consecutive failures"
+
+    def test_empty_table_raises_at_the_first_spoken_poll(self, setup, caplog):
+        commands = setup[0]["default"]
+        empty = EmbeddingTable(dimension=16, entries={})
+        items = [None, RuntimeError("a"), None, "look up", "zoom in"]
+        _, outcome, pulls, _ = self.check(items, commands, empty, caplog)
+        assert (outcome, pulls) == ("embedding table is empty", 4)
+        _, summary, pulls, _ = self.check([None] * 3, commands, empty, caplog)
+        assert (summary.polls_processed, pulls) == (3, 3)

@@ -3,14 +3,16 @@
 Each case mutates a valid file once -- a byte flip, a truncation, a dropped
 or duplicated field, a huge integer, a non-finite token, a BOM, CRLF or CR
 line endings, or bytes that are not UTF-8; in the JSON formats also deep
-nesting, and in a model a parameter that is an object -- and reads it
-through the library reader and every ``natcmd`` command that reads that
-format.
+nesting, in a model a parameter that is an object, and in raw frame lines
+coordinates of +-1.7e308 -- and reads it through the library reader and
+every ``natcmd`` command that reads that format.
 
 Invariant: every entry point accepts the file and gives what the library
 gives for the library's parse, or rejects it with a NatcmdError; on the
 command line that is exit 2 and an ``error:`` line. Never another exception,
-and never exit 1. Seeds are fixed, so every case reproduces.
+and never exit 1. What a command that exits 0 prints is strict JSON (no
+NaN or Infinity), and each ``run`` line is an event that decodes and
+encodes back to the same bytes. Seeds are fixed, so every case reproduces.
 """
 
 import io
@@ -180,6 +182,18 @@ def outcome(read, *args):
         return None, exc
 
 
+def reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def check_stdout(command, out):
+    """Each line is strict JSON; for ``run``, an event that round-trips."""
+    for line in out.splitlines(keepends=True):
+        json.loads(line, parse_constant=reject_constant)
+        if command == "run":
+            assert encode_event(decode_event(line)) == line
+
+
 class Natcmd:
     """Runs ``natcmd`` in-process; records each exit code."""
 
@@ -199,6 +213,7 @@ class Natcmd:
             assert "error: " in err and err.endswith(f"{error}\n"), err
             return None
         assert code == 0, err
+        check_stdout(argv[0], out)
         if wanted is not None:
             summary = json.loads(err.splitlines()[-1]) if argv[0] == "run" else None
             assert (out, summary) == wanted
@@ -285,9 +300,10 @@ def check_raw_frames(natcmd, inputs, path):
         natcmd.expect(argv, f"{path}: no frame line found")
     else:
         frame, error = outcome(frame_from_fields, fields(lines[0][1]), lines[0][0])
+        pred, error = (None, error) if error else outcome(predict, inputs.model, frame)
         out = natcmd.expect(argv, error)
         if out is not None:
-            assert json.loads(out)["label"] == predict(inputs.model, frame).label
+            assert json.loads(out)["label"] == pred.label
     check_run_frames(natcmd, path, inputs.model_path, inputs.model)
 
 
@@ -399,6 +415,27 @@ def test_mutated_json(fmt, mutation, seed, inputs, tmp_path, capsys):
     rng = random.Random(f"{fmt} {mutation} {seed}")
     path = tmp_path / f"mutated{suffix}"
     path.write_bytes(JSON_MUTATIONS[mutation][1](valid(inputs), rng, sep))
+    check(Natcmd(capsys), inputs, path)
+
+
+def overflowing_frame(data, rng, sep):
+    """1, 2, 3, 4 or all 63 coordinates of the first frame line and of one
+    other line become +-1.7e308: margins overflow, some to -inf in a losing
+    score only."""
+    lines = data.split(b"\n")
+    for n in {0, rng.randrange(len(lines) - 2)}:  # the file ends in a blank line
+        coords = lines[n].split(sep)
+        for i in rng.sample(range(len(coords)), rng.choice([1, 2, 3, 4, len(coords)])):
+            coords[i] = rng.choice([b"1.7e308", b"-1.7e308"])
+        lines[n] = sep.join(coords)
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_overflowing_frame(seed, inputs, tmp_path, capsys):
+    suffix, sep, valid, check = FORMATS["raw frame lines"]
+    path = tmp_path / f"overflowing{suffix}"
+    path.write_bytes(overflowing_frame(valid(inputs), random.Random(f"overflow {seed}"), sep))
     check(Natcmd(capsys), inputs, path)
 
 
