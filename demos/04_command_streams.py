@@ -8,7 +8,6 @@ resolver. Both streams share one wire format: newline-delimited JSON.
 import numpy as np
 
 from natcmd import (
-    CannedTranscriptionProvider,
     ReplayClock,
     StabilityPolicy,
     SvmConfig,
@@ -54,12 +53,9 @@ words = sorted({t for p in DEFAULT_COMMAND_PHRASES for t in p.split()})
 table = EmbeddingTable(dimension=16, entries={w: rng.normal(0, 1, 16) for w in words})
 
 print("\nvoice stream (3 s polls):")
-clock = ReplayClock()
-provider = CannedTranscriptionProvider(
-    ["show schedule", None, "blah blah", "zoom in"], clock=clock
-)
+clock = ReplayClock(3000)  # each poll is heard at the end of its interval
 summary = run_voice_stream(
-    provider,
+    clock.drive(["show schedule", None, "blah blah", "zoom in"], step_ms=3000),
     default_command_list(),
     table,
     sink=lambda ev: print("  " + encode_event(ev), end=""),

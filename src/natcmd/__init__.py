@@ -32,12 +32,12 @@ from .dataset import (
     synthetic_prototypes,
 )
 from .dispatch import (
-    CannedTranscriptionProvider,
     CommandEvent,
     ReplayClock,
     StabilityPolicy,
     decode_event,
     encode_event,
+    read_transcripts,
     run_gesture_stream,
     run_voice_stream,
 )

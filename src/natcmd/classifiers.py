@@ -462,15 +462,15 @@ _NON_FINITE_SCORE = "frame gives a non-finite winning score"
 
 
 def scores(model: GestureModel, x: np.ndarray) -> np.ndarray:
-    """(K,) scores of a validated (63,) frame, or (N, K) of a validated
-    (N, 63) batch: SVM margins or MLP softmax probabilities.
+    """(N, K) scores of a validated (N, 63) batch: SVM margins or MLP softmax
+    probabilities.
 
     A frame of huge coordinates can overflow to inf or NaN scores; numpy's
     warnings for that are silenced, and :func:`_winners` rejects the frame.
     """
     score = MODEL_KINDS[model.kind].score
     with np.errstate(over="ignore", invalid="ignore"):
-        if x.ndim == 2 and len(x) > _SCORE_BLOCK:
+        if len(x) > _SCORE_BLOCK:
             blocks = range(0, len(x), _SCORE_BLOCK)
             return np.concatenate(
                 [score(model._operands, x[i : i + _SCORE_BLOCK]) for i in blocks]
@@ -479,14 +479,30 @@ def scores(model: GestureModel, x: np.ndarray) -> np.ndarray:
 
 
 def _winners(s: np.ndarray) -> np.ndarray:
-    """Argmax of (K,) or (N, K) scores, ties to the lowest index; raises
+    """Argmax of each row of (N, K) scores, ties to the lowest index; raises
     DatasetError if any winning score is not finite."""
-    idx = s.argmax(axis=-1)
+    idx = s.argmax(axis=1)
     # all scores finite is the common case, and cheaper to test than a gather
     if not np.isfinite(s).all() and not np.isfinite(
-            np.take_along_axis(s, idx[..., None], axis=-1)).all():
+            np.take_along_axis(s, idx[:, None], axis=1)).all():
         raise DatasetError(_NON_FINITE_SCORE)
     return idx
+
+
+def _frame_classifier(model: GestureModel) -> Callable[[np.ndarray], tuple[np.ndarray, int]]:
+    """``classify(x) -> (scores, idx)`` for a validated (63,) frame: the (K,)
+    scores and the winning index, ties to the lowest. A non-finite winning
+    score raises DatasetError. The caller silences numpy's overflow warnings."""
+    score, operands = MODEL_KINDS[model.kind].score, model._operands
+
+    def classify(x: np.ndarray) -> tuple[np.ndarray, int]:
+        s = score(operands, x)
+        idx = int(s.argmax())
+        if not math.isfinite(s[idx]):
+            raise DatasetError(_NON_FINITE_SCORE)
+        return s, idx
+
+    return classify
 
 
 def predict(model: GestureModel, frame) -> Prediction:
@@ -494,9 +510,10 @@ def predict(model: GestureModel, frame) -> Prediction:
     An invalid frame, or one whose winning score is not finite, raises
     DatasetError."""
     x = as_frame(frame)
+    classify = _frame_classifier(model)
     start = time.perf_counter()
-    s = scores(model, x)
-    idx = int(_winners(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, idx = classify(x)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return Prediction(label=model.label_set[idx], scores=s, elapsed_ms=elapsed_ms)
 

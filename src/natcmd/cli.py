@@ -143,6 +143,12 @@ def _load_commands(arg: str) -> voice.CommandList:
     return voice.load_command_list(arg)
 
 
+def _print_json(doc) -> None:
+    """One JSON document on stdout; NaN or infinity raise instead of printing
+    text that is not JSON."""
+    print(json.dumps(doc, allow_nan=False))
+
+
 def _cmd_gen_data(args) -> int:
     spec = _from_flags(
         dataset.SyntheticSpec,
@@ -153,12 +159,12 @@ def _cmd_gen_data(args) -> int:
     )
     ds = dataset.generate_synthetic_dataset(spec)
     dataset.save_landmark_dataset(ds, args.output, format=args.format)
-    print(json.dumps({
+    _print_json({
         "path": args.output,
         "frames": len(ds),
         "labels": list(ds.label_set),
         "seed": args.seed,
-    }))
+    })
     return 0
 
 
@@ -179,13 +185,13 @@ def _cmd_train(args) -> int:
     ds = _load_split(args, 0)
     model = train(ds, cfg)
     classifiers.save_model(model, args.output)
-    print(json.dumps({
+    _print_json({
         "kind": model.kind,
         "labels": list(model.label_set),
         "frames_trained": len(ds),
         "training_time_ms": model.training_time_ms,
         "model_path": args.output,
-    }))
+    })
     return 0
 
 
@@ -193,7 +199,7 @@ def _cmd_evaluate(args) -> int:
     model = classifiers.load_model(args.model)
     ds = _load_split(args, 1)
     report = metrics.evaluate_model(model, ds)
-    print(metrics.report_to_json(report))
+    _print_json(metrics.report_to_dict(report))
     if args.table:
         print(metrics.render_report(report), file=sys.stderr)
     return 0
@@ -222,13 +228,13 @@ def _cmd_predict(args) -> int:
     model = classifiers.load_model(args.model)
     frame = _read_frame_file(args.frame)
     pred = classifiers.predict(model, frame)
-    print(json.dumps({
+    _print_json({
         "label": pred.label,
         # only a losing score can be non-finite: it prints as null
         "scores": {lbl: float(s) if math.isfinite(s) else None
                    for lbl, s in zip(model.label_set, pred.scores)},
         "elapsed_ms": pred.elapsed_ms,
-    }, allow_nan=False))
+    })
     return 0
 
 
@@ -238,7 +244,7 @@ def _cmd_match(args) -> int:
         raise _UsageError("--embeddings is required for match")
     table = voice.load_embeddings(args.embeddings)
     result = voice.resolve_command(args.text, commands, table)
-    print(json.dumps({
+    _print_json({
         "matched": (
             {"action": result.matched[0], "phrase": result.matched[1]}
             if result.matched else None
@@ -249,7 +255,7 @@ def _cmd_match(args) -> int:
              "jaro_winkler": c.jaro_winkler, "total": c.total}
             for c in result.per_candidate
         ],
-    }))
+    })
     return 0
 
 
@@ -287,10 +293,10 @@ def _cmd_run(args) -> int:
     if want_voice:
         commands = _load_commands(args.commands)
         table = voice.load_embeddings(args.embeddings)
-        voice_clock = dispatch.ReplayClock()
-        provider = dispatch.CannedTranscriptionProvider.from_file(
-            args.transcripts, clock=voice_clock
-        )
+        # poll i is heard at the end of its interval: (i + 1) x interval
+        interval = dispatch.DEFAULT_POLL_INTERVAL_MS
+        voice_clock = dispatch.ReplayClock(interval)
+        transcripts = voice_clock.drive(dispatch.read_transcripts(args.transcripts), interval)
 
     events: list[dispatch.CommandEvent] = []
     summary: dict = {}
@@ -300,7 +306,7 @@ def _cmd_run(args) -> int:
         )
     if want_voice:
         summary["voice"] = dispatch.run_voice_stream(
-            provider, commands, table, events.append, clock=voice_clock.now
+            transcripts, commands, table, events.append, clock=voice_clock.now
         )
     # One timeline: a stable sort keeps gesture events first on equal times.
     events.sort(key=lambda ev: ev.ts_ms)
@@ -337,8 +343,8 @@ def run_cli(argv: list[str]) -> int:
             return USAGE_EXIT
         except SystemExit as exc:  # argparse --help
             return 0 if exc.code in (0, None) else USAGE_EXIT
-        except NatcmdError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (NatcmdError, MemoryError) as exc:  # a bare MemoryError has no message
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return DATA_EXIT
 
 

@@ -7,21 +7,21 @@ non-suppressed label that differs from the last emitted action. Voice polls
 fire whenever the resolver accepts a transcript.
 
 Both stream runners take a ``clock`` callable returning epoch milliseconds;
-replays substitute :class:`ReplayClock` so output is reproducible.
+replays substitute :class:`ReplayClock`, ticked by :meth:`ReplayClock.drive`
+as frames or polls are pulled, so output is reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .classifiers import _NON_FINITE_SCORE, MODEL_KINDS, GestureModel
+from .classifiers import MODEL_KINDS, GestureModel, _frame_classifier
 # Unused here: bench/spans.py's traced() rebinds dispatch.predict, and fails
 # with AttributeError without it.
 from .classifiers import predict  # noqa: F401
@@ -69,55 +69,6 @@ class StabilityPolicy:
             raise StreamError("stability window k must be >= 1")
 
 
-class TranscriptionProvider(Protocol):
-    """Periodic transcript source: yields one optional string per poll.
-
-    ``None`` means silence during that interval; iteration ends when the
-    underlying audio source is exhausted. A poll must not block much longer
-    than ``poll_interval_ms``.
-    """
-
-    poll_interval_ms: int
-
-    def __iter__(self) -> Iterator[str | None]: ...
-
-
-class CannedTranscriptionProvider:
-    """Replays a fixed poll sequence, e.g. from a transcript file.
-
-    In the file form, each line is one poll; an empty line means no speech
-    during that interval. When given a clock, each poll advances it by one
-    interval so replayed events carry window-aligned timestamps.
-    """
-
-    def __init__(
-        self,
-        polls: Iterable[str | None],
-        poll_interval_ms: int = DEFAULT_POLL_INTERVAL_MS,
-        clock: "ReplayClock | None" = None,
-    ):
-        self._polls = list(polls)
-        self.poll_interval_ms = poll_interval_ms
-        self._clock = clock
-
-    @classmethod
-    def from_file(
-        cls,
-        path: str,
-        poll_interval_ms: int = DEFAULT_POLL_INTERVAL_MS,
-        clock: "ReplayClock | None" = None,
-    ) -> "CannedTranscriptionProvider":
-        with _open_input(path, "transcript file", StreamError) as fh:
-            polls = [line.rstrip("\r\n") or None for line in fh]
-        return cls(polls, poll_interval_ms=poll_interval_ms, clock=clock)
-
-    def __iter__(self) -> Iterator[str | None]:
-        for item in self._polls:
-            if self._clock is not None:
-                self._clock.advance(self.poll_interval_ms)
-            yield item
-
-
 class ReplayClock:
     """Deterministic millisecond clock driven by the stream being replayed."""
 
@@ -140,6 +91,13 @@ class ReplayClock:
 
 def system_clock() -> int:
     return int(time.time() * 1000)
+
+
+def read_transcripts(path: str) -> list[str | None]:
+    """The polls of a transcript file: one per line, an empty line is silence
+    (None)."""
+    with _open_input(path, "transcript file", StreamError) as fh:
+        return [line.rstrip("\r\n") or None for line in fh]
 
 
 @dataclass(frozen=True)
@@ -188,8 +146,8 @@ def run_gesture_stream(
 ) -> GestureStreamSummary:
     """Classify frames in order and emit debounced command events.
 
-    Each frame is classified as :func:`predict` does it, without building a
-    ``Prediction`` or reading a timer. Frames that :func:`predict` rejects
+    Each frame is classified by the function :func:`predict` uses, without
+    building a ``Prediction`` or reading a timer. Frames that it rejects
     are skipped with a logged warning and counted in ``frames_skipped``.
     Numpy's overflow and invalid-value warnings are off while the stream
     runs, in the frame source and the sink too. An event fires when
@@ -202,7 +160,7 @@ def run_gesture_stream(
     skipped = 0
     run_length = 0
     k = policy.k
-    score, operands, labels = MODEL_KINDS[model.kind].score, model._operands, model.label_set
+    classify, labels = _frame_classifier(model), model.label_set
     # the debounce compares label indices; None matches no index
     suppress = (labels.index(policy.suppress_label)
                 if policy.suppress_label in labels else None)
@@ -212,16 +170,10 @@ def run_gesture_stream(
     with np.errstate(over="ignore", invalid="ignore"):
         for raw in frames:
             try:
-                x = as_frame(raw)
+                s, idx = classify(as_frame(raw))
             except DatasetError as exc:
                 skipped += 1
                 logger.warning("skipping invalid frame: %s", exc)
-                continue
-            s = score(operands, x)
-            idx = int(s.argmax())
-            if not math.isfinite(s[idx]):
-                skipped += 1
-                logger.warning("skipping invalid frame: %s", _NON_FINITE_SCORE)
                 continue
             processed += 1
             if idx == current:
@@ -239,7 +191,7 @@ def run_gesture_stream(
 
 
 def run_voice_stream(
-    provider: TranscriptionProvider,
+    transcripts: Iterable[str | None],
     commands: CommandList,
     table: EmbeddingTable,
     sink: Callable[[CommandEvent], None],
@@ -252,7 +204,7 @@ def run_voice_stream(
     building a ``MatchResult``. The command side (each command's summed
     token vectors and their norms) is read from ``table`` once, when the
     stream starts; transcript words are looked up in ``table`` per poll.
-    Provider errors are logged and polling continues; after
+    An error raised by ``transcripts`` is logged and polling continues; after
     ``max_consecutive_failures`` errors in a row the stream aborts and the
     summary says so. Silent polls (None) are counted but emit nothing.
     """
@@ -263,7 +215,7 @@ def run_voice_stream(
     aborted = False
     emit = _emitter(VOICE_SOURCE, sink, clock)
     sums, sum_norms = _command_side(commands, table)
-    it = iter(provider)
+    it = iter(transcripts)
     while True:
         try:
             item = next(it)

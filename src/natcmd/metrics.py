@@ -8,7 +8,6 @@ contributes 0 and still counts toward the mean.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from itertools import repeat
@@ -84,20 +83,21 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.counts)) / cm.total
 
 
-def macro_precision(cm: ConfusionMatrix) -> float:
+def _macro_mean(cm: ConfusionMatrix, axis: int) -> float:
+    """Mean over classes of correct / (counts summed over ``axis``)."""
     _require_nonempty(cm)
     diag = np.diag(cm.counts).astype(np.float64)
-    col_sums = cm.counts.sum(axis=0).astype(np.float64)
-    per_class = np.divide(diag, col_sums, out=np.zeros_like(diag), where=col_sums > 0)
+    sums = cm.counts.sum(axis=axis).astype(np.float64)
+    per_class = np.divide(diag, sums, out=np.zeros_like(diag), where=sums > 0)
     return float(per_class.mean())
+
+
+def macro_precision(cm: ConfusionMatrix) -> float:
+    return _macro_mean(cm, axis=0)  # per predicted label
 
 
 def macro_recall(cm: ConfusionMatrix) -> float:
-    _require_nonempty(cm)
-    diag = np.diag(cm.counts).astype(np.float64)
-    row_sums = cm.counts.sum(axis=1).astype(np.float64)
-    per_class = np.divide(diag, row_sums, out=np.zeros_like(diag), where=row_sums > 0)
-    return float(per_class.mean())
+    return _macro_mean(cm, axis=1)  # per true label
 
 
 def f1(p: float, r: float) -> float:
@@ -160,10 +160,6 @@ def report_to_dict(report: EvaluationReport) -> dict:
     if report.training_time_ms is not None:
         doc["training_time_ms"] = report.training_time_ms
     return doc
-
-
-def report_to_json(report: EvaluationReport) -> str:
-    return json.dumps(report_to_dict(report))
 
 
 def render_report(report: EvaluationReport) -> str:

@@ -54,6 +54,17 @@ class TestGenData:
             first = json.loads(fh.readline())
         assert set(first) == {"label", "coords"}
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys):
+        # numpy refuses this 448 PiB array at once, without touching memory
+        path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, "gen-data", "--per-label", "1000000000000000", "-o", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not path.exists()
+
 
 class TestTrainEvaluate:
     def test_train_then_evaluate_flow(self, small_data, tmp_path, capsys):
@@ -689,8 +700,7 @@ class TestUnreadableInputFiles:
         "predict --frame": ("frame file", natcmd.cli._read_frame_file, NatcmdError),
         "match --embeddings": ("embedding table", natcmd.voice.load_embeddings, VoiceError),
         "match --commands": ("command list", natcmd.voice.load_command_list, VoiceError),
-        "run --transcripts": ("transcript file", dispatch.CannedTranscriptionProvider.from_file,
-                              StreamError),
+        "run --transcripts": ("transcript file", dispatch.read_transcripts, StreamError),
     }
     FLAGS = {"predict": ["--model", "--frame"],
              "match": ["--embeddings", "--commands", "--text"],
@@ -810,7 +820,7 @@ class TestLineEndings:
                             lambda p: [(c.action_id, c.phrase) for c in
                                        natcmd.load_command_list(p)]),
             "transcripts": ("t.txt", "move forward\n\n\nlook up\n \n\n",
-                            lambda p: list(dispatch.CannedTranscriptionProvider.from_file(p))),
+                            dispatch.read_transcripts),
             "model json": ("m2.json", model_text, model),
             "frame file": ("f.txt", "\n" + frame_lines,
                            lambda p: natcmd.cli._read_frame_file(p).tolist()),

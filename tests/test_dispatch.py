@@ -6,7 +6,6 @@ import pytest
 
 from natcmd import (
     FRAME_SIZE,
-    CannedTranscriptionProvider,
     CommandEvent,
     GestureModel,
     MlpConfig,
@@ -17,6 +16,7 @@ from natcmd import (
     decode_event,
     encode_event,
     generate_synthetic_dataset,
+    read_transcripts,
     run_gesture_stream,
     run_voice_stream,
     predict,
@@ -155,9 +155,8 @@ class TestGestureStream:
 class TestVoiceStream:
     def test_exact_phrase_emits_event(self):
         events, sink = collect()
-        provider = CannedTranscriptionProvider(["move forward"])
         summary = run_voice_stream(
-            provider, default_command_list(), fixture_table(), sink, clock=lambda: 7
+            ["move forward"], default_command_list(), fixture_table(), sink, clock=lambda: 7
         )
         assert summary.events_emitted == 1
         ev = events[0]
@@ -168,18 +167,16 @@ class TestVoiceStream:
 
     def test_gibberish_emits_nothing(self):
         events, sink = collect()
-        provider = CannedTranscriptionProvider(["zzz qqq"])
         summary = run_voice_stream(
-            provider, default_command_list(), fixture_table(), sink
+            ["zzz qqq"], default_command_list(), fixture_table(), sink
         )
         assert summary.events_emitted == 0
         assert summary.polls_processed == 1
 
     def test_silent_polls_skipped(self):
         events, sink = collect()
-        provider = CannedTranscriptionProvider([None, "show schedule", None])
         summary = run_voice_stream(
-            provider, default_command_list(), fixture_table(), sink
+            [None, "show schedule", None], default_command_list(), fixture_table(), sink
         )
         assert summary.events_emitted == 1
         assert summary.polls_processed == 3
@@ -187,8 +184,6 @@ class TestVoiceStream:
 
     def test_provider_failures_logged_then_abort(self):
         class FlakyProvider:
-            poll_interval_ms = 3000
-
             def __iter__(self):
                 class It:
                     count = 0
@@ -215,8 +210,6 @@ class TestVoiceStream:
 
     def test_single_failure_continues(self):
         class Wrapper:
-            poll_interval_ms = 3000
-
             def __iter__(self):
                 state = {"i": 0}
                 items = ["zoom in", RuntimeError("glitch"), "zoom out"]
@@ -249,28 +242,22 @@ class TestVoiceStream:
         path = str(tmp_path / "polls.txt")
         with open(path, "w") as fh:
             fh.write("\nshow schedule\n\n")
-        provider = CannedTranscriptionProvider.from_file(path)
-        polls = list(provider)
-        assert polls == [None, "show schedule", None]
+        assert read_transcripts(path) == [None, "show schedule", None]
 
     def test_replay_clock_advances_per_poll(self):
-        clock = ReplayClock()
-        provider = CannedTranscriptionProvider(
-            ["move forward", None, "zoom in"], clock=clock
-        )
+        clock = ReplayClock(3000)
+        polls = clock.drive(["move forward", None, "zoom in"], 3000)
         events, sink = collect()
         run_voice_stream(
-            provider, default_command_list(), fixture_table(), sink, clock=clock.now
+            polls, default_command_list(), fixture_table(), sink, clock=clock.now
         )
         assert [e.ts_ms for e in events] == [3000, 9000]
 
     def test_every_event_total_exceeds_threshold(self):
         # confidence = total/2, so any emitted event must encode total > 1
         events, sink = collect()
-        provider = CannedTranscriptionProvider(
-            ["move forward", "zzz", "hide reality", "qqq www"]
-        )
-        run_voice_stream(provider, default_command_list(), fixture_table(), sink)
+        polls = ["move forward", "zzz", "hide reality", "qqq www"]
+        run_voice_stream(polls, default_command_list(), fixture_table(), sink)
         assert len(events) == 2
         assert all(e.confidence > 0.5 for e in events)
 
@@ -289,9 +276,9 @@ class TestClockClamp:
 
     def test_voice_times_never_go_back(self):
         events, sink = collect()
-        provider = CannedTranscriptionProvider(["move forward", "zoom in", "move forward"])
+        polls = ["move forward", "zoom in", "move forward"]
         clock = iter([500, 300, 700]).__next__
-        run_voice_stream(provider, default_command_list(), fixture_table(), sink, clock=clock)
+        run_voice_stream(polls, default_command_list(), fixture_table(), sink, clock=clock)
         assert [e.ts_ms for e in events] == [500, 500, 700]
 
 
@@ -574,8 +561,6 @@ class ScriptedProvider:
     """Polls from a list; an exception in it is raised by that pull. Each
     pull advances the clock by one interval and is counted."""
 
-    poll_interval_ms = dispatch.DEFAULT_POLL_INTERVAL_MS
-
     def __init__(self, items, clock):
         self.items, self.clock, self.pulls = items, clock, 0
 
@@ -587,7 +572,7 @@ class ScriptedProvider:
             raise StopIteration
         item = self.items[self.pulls]
         self.pulls += 1
-        self.clock.advance(self.poll_interval_ms)
+        self.clock.advance(dispatch.DEFAULT_POLL_INTERVAL_MS)
         if isinstance(item, Exception):
             raise item
         return item

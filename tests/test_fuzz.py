@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from natcmd import (
-    CannedTranscriptionProvider,
     ReplayClock,
     StabilityPolicy,
     SvmConfig,
@@ -39,6 +38,7 @@ from natcmd import (
     load_landmark_dataset,
     load_model,
     predict,
+    read_transcripts,
     resolve_command,
     run_gesture_stream,
     run_voice_stream,
@@ -48,7 +48,7 @@ from natcmd import (
 )
 from natcmd.cli import run_cli
 from natcmd.dataset import frame_from_fields
-from natcmd.dispatch import REPLAY_FRAME_INTERVAL_MS, CommandEvent
+from natcmd.dispatch import DEFAULT_POLL_INTERVAL_MS, REPLAY_FRAME_INTERVAL_MS, CommandEvent
 from natcmd.errors import NatcmdError
 
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
@@ -231,10 +231,10 @@ def replay_frames(model, rows):
 
 def replay_polls(transcripts_path, commands, table):
     """What ``natcmd run --transcripts`` writes: stdout, summary."""
-    clock = ReplayClock()
-    provider = CannedTranscriptionProvider.from_file(str(transcripts_path), clock=clock)
+    clock = ReplayClock(DEFAULT_POLL_INTERVAL_MS)
+    polls = clock.drive(read_transcripts(str(transcripts_path)), DEFAULT_POLL_INTERVAL_MS)
     events = []
-    summary = run_voice_stream(provider, commands, table, events.append, clock=clock.now)
+    summary = run_voice_stream(polls, commands, table, events.append, clock=clock.now)
     return "".join(map(encode_event, events)), {"voice": vars(summary)}
 
 
@@ -357,7 +357,7 @@ def check_commands(natcmd, inputs, path):
 
 
 def check_transcripts(natcmd, inputs, path):
-    _, error = outcome(CannedTranscriptionProvider.from_file, str(path))
+    _, error = outcome(read_transcripts, str(path))
     check_run_polls(natcmd, ["run", "--transcripts", path, "--embeddings", inputs.embeddings_path],
                     path, inputs.commands, inputs.table, error)
 
