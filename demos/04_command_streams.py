@@ -3,7 +3,12 @@
 Per-frame predictions are debounced (k agreeing frames, one label muted)
 before anything reaches the consumer; transcript polls pass through the
 resolver. Both streams share one wire format: newline-delimited JSON.
+The gesture feed is replayed from a file of raw frame lines, read the way
+``natcmd run --frames`` reads it.
 """
+
+import os
+import tempfile
 
 import numpy as np
 
@@ -14,6 +19,7 @@ from natcmd import (
     SyntheticSpec,
     encode_event,
     generate_synthetic_dataset,
+    read_frames,
     run_gesture_stream,
     run_voice_stream,
     synthetic_prototypes,
@@ -36,14 +42,19 @@ feed = (
 )
 
 print("gesture stream (k=5, neutral suppressed):")
-clock = ReplayClock()
-summary = run_gesture_stream(
-    model,
-    clock.drive(feed, step_ms=40),  # 25 fps replay timing
-    StabilityPolicy(k=5, suppress_label="neutral"),
-    sink=lambda ev: print("  " + encode_event(ev), end=""),
-    clock=clock.now,
-)
+with tempfile.TemporaryDirectory() as tmp:
+    # one frame per line: 63 comma-separated numbers
+    path = os.path.join(tmp, "feed.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(repr, frame.tolist())) + "\n" for frame in feed)
+    clock = ReplayClock()
+    summary = run_gesture_stream(
+        model,
+        clock.drive(read_frames(path), step_ms=40),  # 25 fps replay timing
+        StabilityPolicy(k=5, suppress_label="neutral"),
+        sink=lambda ev: print("  " + encode_event(ev), end=""),
+        clock=clock.now,
+    )
 print(f"  {summary.frames_processed} frames -> {summary.events_emitted} events "
       f"(flicker and neutral never fire)")
 

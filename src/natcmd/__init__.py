@@ -27,6 +27,7 @@ from .dataset import (
     generate_synthetic_dataset,
     load_landmark_dataset,
     one_hot_encode,
+    read_frames,
     save_landmark_dataset,
     split_dataset,
     synthetic_prototypes,
@@ -59,7 +60,6 @@ from .voice import (
     CommandList,
     EmbeddingTable,
     MatchResult,
-    TokenizedPhrase,
     cosine_similarity,
     default_command_list,
     jaro,

@@ -158,6 +158,7 @@ def svm_objective(weights: np.ndarray, x_aug: np.ndarray, y_signs: np.ndarray, c
     return float(0.5 * np.sum(weights * weights) + c * hinge.sum())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_linear_svm(
     train: LabeledDataset,
     cfg: SvmConfig = SvmConfig(),
@@ -194,7 +195,7 @@ def train_linear_svm(
     best_obj = svm_objective(best_weights, x_aug, y_signs, cfg.c)
     prev_best = None
     t = 0
-    for _epoch in range(cfg.max_epochs):
+    for epoch in range(cfg.max_epochs):
         perm = rng.permutation(n)
         for start in range(0, n, _SVM_CHUNK):
             chunk = perm[start : start + _SVM_CHUNK]
@@ -227,6 +228,8 @@ def train_linear_svm(
             t += m
         weights = u / t
         obj = svm_objective(weights, x_aug, y_signs, cfg.c)
+        if not math.isfinite(obj):
+            raise TrainingError(f"svm objective is not finite after epoch {epoch + 1}")
         if obj < best_obj:
             best_obj = obj
             best_weights = weights

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import asdict
 
 from . import classifiers, dataset, dispatch, metrics, voice
-from .errors import DatasetError, NatcmdError
+from .errors import NatcmdError
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -205,28 +205,9 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _raw_frame_lines(fh):
-    """(line number, fields) for each non-blank line of a raw frame file.
-
-    A line is 63 comma-separated numbers; empty fields, such as the one a
-    trailing comma leaves, are dropped. Validation is left to as_frame.
-    """
-    for lineno, line in enumerate(fh, start=1):
-        if line.strip():
-            yield lineno, [v for v in line.strip().split(",") if v.strip()]
-
-
-def _read_frame_file(path: str):
-    """The frame on the first non-blank line; the whole file must be UTF-8."""
-    with dataset._open_input(path, "frame file", NatcmdError) as fh:
-        for lineno, fields in list(_raw_frame_lines(fh)):
-            return dataset.frame_from_fields(fields, lineno)
-    raise NatcmdError(f"{path}: no frame line found")
-
-
 def _cmd_predict(args) -> int:
     model = classifiers.load_model(args.model)
-    frame = _read_frame_file(args.frame)
+    frame = dataset.read_frame(args.frame)
     pred = classifiers.predict(model, frame)
     _print_json({
         "label": pred.label,
@@ -259,20 +240,6 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _iter_replay_frames(path: str, clock: dispatch.ReplayClock):
-    """Frames from a dataset file or a raw line feed, ticking the replay clock."""
-    with dataset._open_input(path, "frame source", DatasetError) as fh:
-        first = fh.readline()
-        fh.seek(0)
-        if first.startswith("label,"):
-            rows = list(dataset._read_dataset(fh, "csv", path).frames)
-        elif first.lstrip().startswith("{"):
-            rows = list(dataset._read_dataset(fh, "jsonl", path).frames)
-        else:
-            rows = [fields for _, fields in _raw_frame_lines(fh)]
-    return clock.drive(rows, dispatch.REPLAY_FRAME_INTERVAL_MS)
-
-
 def _cmd_run(args) -> int:
     want_gesture = args.frames is not None
     want_voice = args.transcripts is not None
@@ -289,7 +256,8 @@ def _cmd_run(args) -> int:
     if want_gesture:
         model = classifiers.load_model(args.model)
         gesture_clock = dispatch.ReplayClock()
-        frames = _iter_replay_frames(args.frames, gesture_clock)
+        frames = gesture_clock.drive(dataset.read_frames(args.frames),
+                                     dispatch.REPLAY_FRAME_INTERVAL_MS)
     if want_voice:
         commands = _load_commands(args.commands)
         table = voice.load_embeddings(args.embeddings)

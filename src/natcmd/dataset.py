@@ -8,11 +8,13 @@ dataset files, single-frame files and streams alike. Datasets pair an
 (N, 63) frame matrix with per-frame string labels and carry the sorted
 label vocabulary.
 
-Two on-disk formats are supported:
+Three on-disk formats are supported:
 
 * CSV with header ``label,x0,y0,z0,...,x20,y20,z20`` (64 columns), one
   frame per row.
 * JSONL with one ``{"label": ..., "coords": [63 numbers]}`` object per line.
+* Raw frame lines of 63 comma-separated numbers, unlabeled, for replays and
+  single frames; :func:`read_frames` tells the three apart by the first line.
 
 Because the original recordings are not distributable, a deterministic
 synthetic generator stands in: each label gets a pseudo-random prototype
@@ -343,6 +345,35 @@ def save_landmark_dataset(ds: LabeledDataset, path: str, format: str | None = No
                 fh.write("\n")
     else:
         raise DatasetError(f"unknown dataset format {fmt!r}")
+
+
+def read_frames(path: str) -> list:
+    """Every frame of a frame source. A first line starting ``label,`` makes
+    it a dataset CSV and one starting ``{`` a dataset JSONL; otherwise each
+    non-blank line is one frame's list of fields, empty fields dropped, left
+    for :func:`as_frame` to check."""
+    with _open_input(path, "frame source", DatasetError) as fh:
+        first = fh.readline()
+        fh.seek(0)
+        if first.startswith("label,") or first.lstrip().startswith("{"):
+            fmt = "csv" if first.startswith("label,") else "jsonl"
+            return list(_read_dataset(fh, fmt, path).frames)
+        return [fields for _, fields in _frame_lines(fh)]
+
+
+def read_frame(path: str) -> np.ndarray:
+    """The frame on the first non-blank line of ``path``; the whole file must be UTF-8."""
+    with _open_input(path, "frame file", NatcmdError) as fh:
+        for lineno, fields in list(_frame_lines(fh)):
+            return frame_from_fields(fields, lineno)
+    raise NatcmdError(f"{path}: no frame line found")
+
+
+def _frame_lines(fh):
+    """(line number, fields) for each non-blank line; empty fields are dropped."""
+    for lineno, line in enumerate(fh, start=1):
+        if line.strip():
+            yield lineno, [v for v in line.strip().split(",") if v.strip()]
 
 
 def _csv_field(text: str) -> str:

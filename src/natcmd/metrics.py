@@ -115,7 +115,7 @@ class EvaluationReport:
     f1: float
     mean_prediction_time_ms: float
     confusion: ConfusionMatrix
-    training_time_ms: float | None = None  # None for methods with no training
+    training_time_ms: float
 
 
 def evaluate_model(model: GestureModel, test: LabeledDataset) -> EvaluationReport:
@@ -148,7 +148,7 @@ def evaluate_model(model: GestureModel, test: LabeledDataset) -> EvaluationRepor
 
 def report_to_dict(report: EvaluationReport) -> dict:
     """JSON-ready form: the six metrics plus the confusion matrix as nested ints."""
-    doc = {
+    return {
         "accuracy": report.accuracy,
         "macro_precision": report.macro_precision,
         "macro_recall": report.macro_recall,
@@ -156,23 +156,20 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "mean_prediction_time_ms": report.mean_prediction_time_ms,
         "labels": list(report.confusion.label_set),
         "confusion": report.confusion.counts.tolist(),
+        "training_time_ms": report.training_time_ms,
     }
-    if report.training_time_ms is not None:
-        doc["training_time_ms"] = report.training_time_ms
-    return doc
 
 
 def render_report(report: EvaluationReport) -> str:
     """Plain-text table of the metrics, for terminals."""
     rows = [
+        ("training time", f"{report.training_time_ms:.1f} ms"),
         ("accuracy", f"{report.accuracy:.4f}"),
         ("macro precision", f"{report.macro_precision:.4f}"),
         ("macro recall", f"{report.macro_recall:.4f}"),
         ("f1", f"{report.f1:.4f}"),
         ("mean prediction time", f"{report.mean_prediction_time_ms:.3f} ms"),
     ]
-    if report.training_time_ms is not None:
-        rows.insert(0, ("training time", f"{report.training_time_ms:.1f} ms"))
     width = max(len(name) for name, _ in rows)
     lines = [f"{name.ljust(width)}  {value}" for name, value in rows]
     lines.append("")

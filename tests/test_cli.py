@@ -2,12 +2,12 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import natcmd.classifiers
-import natcmd.cli
 import natcmd.dataset
 from natcmd import SyntheticSpec, dispatch, synthetic_prototypes
 from natcmd.cli import run_cli
@@ -114,6 +114,20 @@ class TestTrainEvaluate:
         )
         assert code == 2
         assert "error" in err
+
+    def test_svm_objective_overflow_exits_2_without_warnings(self, tmp_path, capsys):
+        # coordinates of 1e300 overflow the margins and the objective
+        data, model = tmp_path / "big.csv", tmp_path / "m.json"
+        rows = [f"{label}," + ",".join([value] * 63)
+                for label, value in (("a", "1e300"), ("b", "-1e300")) for _ in range(3)]
+        data.write_text("\n".join([",".join(natcmd.dataset.CSV_HEADER), *rows]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning prints as a line, not an error
+            code, out, err = run(capsys, "train", "--kind", "svm", "--data", str(data),
+                                 "-o", str(model))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: svm objective is not finite after epoch 1"]
+        assert not model.exists()
 
 
 class TestPredict:
@@ -697,7 +711,7 @@ class TestUnreadableInputFiles:
     # "command --flag": (what the message calls the file, library reader, its error)
     READERS = {
         "predict --model": ("model file", natcmd.classifiers.load_model, ModelError),
-        "predict --frame": ("frame file", natcmd.cli._read_frame_file, NatcmdError),
+        "predict --frame": ("frame file", natcmd.dataset.read_frame, NatcmdError),
         "match --embeddings": ("embedding table", natcmd.voice.load_embeddings, VoiceError),
         "match --commands": ("command list", natcmd.voice.load_command_list, VoiceError),
         "run --transcripts": ("transcript file", dispatch.read_transcripts, StreamError),
@@ -823,11 +837,10 @@ class TestLineEndings:
                             dispatch.read_transcripts),
             "model json": ("m2.json", model_text, model),
             "frame file": ("f.txt", "\n" + frame_lines,
-                           lambda p: natcmd.cli._read_frame_file(p).tolist()),
+                           lambda p: natcmd.dataset.read_frame(p).tolist()),
             "dataset csv": ("d2.csv", texts["csv"], dataset),
             "dataset jsonl": ("d2.jsonl", texts["jsonl"], dataset),
-            "raw replay lines": ("r.txt", frame_lines, lambda p: list(
-                natcmd.cli._iter_replay_frames(p, dispatch.ReplayClock()))),
+            "raw replay lines": ("r.txt", frame_lines, natcmd.read_frames),
         }
 
     NAMES = ["embeddings", "command tsv", "transcripts", "model json", "frame file",
@@ -854,7 +867,7 @@ class TestByteOrderMark:
     def test_same_parse_as_plain(self, name, tmp_path):
         files = TestLineEndings.files(tmp_path)
         files["csv replay"] = ("d3.csv", files["dataset csv"][1], lambda p: [
-            row.tolist() for row in natcmd.cli._iter_replay_frames(p, dispatch.ReplayClock())])
+            row.tolist() for row in natcmd.read_frames(p)])
         file_name, text, parse = files[name]
         plain, marked = tmp_path / "plain", tmp_path / "marked"
         plain.mkdir()

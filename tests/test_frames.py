@@ -27,8 +27,8 @@ from natcmd import (
     run_gesture_stream,
     save_model,
 )
-from natcmd.cli import _read_frame_file, run_cli
-from natcmd.dataset import CSV_HEADER, as_frames
+from natcmd.cli import run_cli
+from natcmd.dataset import CSV_HEADER, as_frames, read_frame
 from natcmd.errors import DatasetError, ParseError
 from test_classifiers import overflowing_frame
 
@@ -92,7 +92,7 @@ def test_every_entry_point_applies_one_frame_rule(
             [json.dumps({"label": "a", "coords": [0.25] * FRAME_SIZE}), "",
              json.dumps({"label": "b", "coords": fields})],
         )).frames[1],
-        "frame file": lambda: _read_frame_file(
+        "frame file": lambda: read_frame(
             write_lines(tmp_path / "frame.txt", ["", "", line])
         ),
     }
