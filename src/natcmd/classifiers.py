@@ -89,39 +89,34 @@ class GestureModel:
     label_set: tuple[str, ...]
     params: dict[str, np.ndarray]
     training_time_ms: float = 0.0
-    # what the kind's score function takes, derived from params once per model
-    _operands: object = field(init=False, repr=False)
+    # the kind's scoring function, built from params once per model
+    _score: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "label_set", tuple(self.label_set))
         if len(set(self.label_set)) != len(self.label_set):
             raise ModelError("label_set contains duplicates")
+        spec = MODEL_KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if spec is None:
+            raise ModelError(f"unsupported model kind {self.kind!r}")
         params = {k: np.asarray(v, dtype=np.float64) for k, v in self.params.items()}
-        _check_param_shapes(self.kind, params, len(self.label_set))
+        shapes = spec.shapes(params, len(self.label_set))
+        if set(params) != set(shapes):
+            raise ModelError(f"{self.kind} params must be {tuple(shapes)}, got {sorted(params)}")
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise ModelError(f"{self.kind} parameter {name!r} must have shape {shape}, "
+                                 f"got {params[name].shape}")
         for name, arr in params.items():
             if not np.all(np.isfinite(arr)):
                 raise ModelError(f"parameter {name!r} contains non-finite values")
             arr.setflags(write=False)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_operands", MODEL_KINDS[self.kind].prepare(params))
+        object.__setattr__(self, "_score", spec.scorer(params))
 
     @property
     def n_classes(self) -> int:
         return len(self.label_set)
-
-
-def _check_param_shapes(kind: str, params: dict[str, np.ndarray], k: int) -> None:
-    spec = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
-    if spec is None:
-        raise ModelError(f"unsupported model kind {kind!r}")
-    if set(params) != set(spec.param_names):
-        raise ModelError(f"{kind} params must be {spec.param_names}, got {sorted(params)}")
-    for name, shape in spec.shapes(params, k).items():
-        if params[name].shape != shape:
-            raise ModelError(
-                f"{kind} parameter {name!r} must have shape {shape}, "
-                f"got {params[name].shape}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +309,7 @@ def _mlp_step(params, grads, x, targets, work) -> np.ndarray:
     return logits
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_mlp(train: LabeledDataset, cfg: MlpConfig = MlpConfig()) -> GestureModel:
     """Train the 63 -> hidden -> K softmax network with seeded mini-batch SGD.
 
@@ -339,13 +335,15 @@ def train_mlp(train: LabeledDataset, cfg: MlpConfig = MlpConfig()) -> GestureMod
     work = {m: _mlp_workspace(m, hidden, k) for m in {min(size, n), n % size} if m}
     batches = [(start, min(start + size, n), work[min(size, n - start)])
                for start in range(0, n, size)]
-    for _epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for start, stop, scratch in batches:
             batch = perm[start:stop]
             _mlp_step(params, grads, x[batch], targets[batch], scratch)
             flat_grads *= cfg.learning_rate
             flat -= flat_grads
+        if not np.isfinite(flat).all():
+            raise TrainingError(f"mlp parameters are not finite after epoch {epoch + 1}")
 
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return GestureModel(
@@ -393,68 +391,63 @@ def _logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _svm_operands(params):
+def _svm_scorer(params):
     # (63, K) weights and (K,) bias, split off the augmented matrix once
     weights = params["weights"]
-    wt = np.ascontiguousarray(weights[:, :-1].T)
-    bias = weights[:, -1].copy()
-    wt.setflags(write=False)
-    bias.setflags(write=False)
-    return wt, bias
+    wt, bias = np.ascontiguousarray(weights[:, :-1].T), weights[:, -1].copy()
+    return lambda x: x @ wt + bias
 
 
-def _mlp_score(params, x: np.ndarray) -> np.ndarray:
-    """Softmax probabilities of a (63,) frame or an (N, 63) batch: the
-    operations of ``softmax(max(0, x @ w1 + b1) @ w2 + b2)`` in their plain
-    order, each written over the array before it, so bit-identical to it."""
-    z = x @ params["w1"]
-    z += params["b1"]
-    np.maximum(0.0, z, out=z)
-    logits = z @ params["w2"]
-    logits += params["b2"]
-    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
-    return logits
+def _mlp_scorer(params):
+    """``softmax(max(0, x @ w1 + b1) @ w2 + b2)``, operation for operation in
+    its plain order, each written over the array before it: bit-identical."""
+    w1, b1, w2, b2 = params["w1"], params["b1"], params["w2"], params["b2"]
+
+    def score(x: np.ndarray) -> np.ndarray:
+        z = x @ w1
+        z += b1
+        np.maximum(0.0, z, out=z)
+        logits = z @ w2
+        logits += b2
+        logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+        return logits
+
+    return score
 
 
 def _mlp_shapes(params, k):
-    return _mlp_layout(params["b1"].shape[0] if params["b1"].ndim == 1 else -1, k)
+    b1 = params.get("b1")
+    return _mlp_layout(b1.shape[0] if b1 is not None and b1.ndim == 1 else -1, k)
 
 
 @dataclass(frozen=True)
 class ModelKind:
     """What one model family is, as data rather than branches.
 
-    ``shapes(params, K)`` gives the required shape of every parameter;
-    ``prepare(params)`` builds, once per model, the operands that
-    ``score(operands, x)`` takes; ``score`` maps a (63,) frame to (K,) scores
-    and an (N, 63) batch to (N, K); ``confidence`` maps a winning score to
-    [0, 1].
+    ``shapes(params, K)`` gives the required shape of every parameter, keyed
+    by its name; ``scorer(params)`` builds, once per model, the function that
+    maps a (63,) frame to (K,) scores and an (N, 63) batch to (N, K);
+    ``confidence`` maps a winning score to [0, 1].
     """
 
-    param_names: tuple[str, ...]
     shapes: Callable[[dict, int], dict[str, tuple[int, ...]]]
-    prepare: Callable[[dict], object]
-    score: Callable[[object, np.ndarray], np.ndarray]
+    scorer: Callable[[dict], Callable[[np.ndarray], np.ndarray]]
     confidence: Callable[[float], float]
 
 
 MODEL_KINDS: dict[str, ModelKind] = {
     # raw one-vs-rest margins; confidence is the logistic of the winning margin
     SVM_KIND: ModelKind(
-        param_names=("weights",),
         shapes=lambda params, k: {"weights": (k, FRAME_SIZE + 1)},
-        prepare=_svm_operands,
-        score=lambda ops, x: x @ ops[0] + ops[1],
+        scorer=_svm_scorer,
         confidence=_logistic,
     ),
     # softmax probabilities; confidence is the winning probability
     MLP_KIND: ModelKind(
-        param_names=("w1", "b1", "w2", "b2"),
         shapes=_mlp_shapes,
-        prepare=lambda params: params,
-        score=_mlp_score,
+        scorer=_mlp_scorer,
         confidence=lambda top: min(1.0, max(0.0, top)),
     ),
 }
@@ -471,14 +464,12 @@ def scores(model: GestureModel, x: np.ndarray) -> np.ndarray:
     A frame of huge coordinates can overflow to inf or NaN scores; numpy's
     warnings for that are silenced, and :func:`_winners` rejects the frame.
     """
-    score = MODEL_KINDS[model.kind].score
+    score = model._score
     with np.errstate(over="ignore", invalid="ignore"):
         if len(x) > _SCORE_BLOCK:
             blocks = range(0, len(x), _SCORE_BLOCK)
-            return np.concatenate(
-                [score(model._operands, x[i : i + _SCORE_BLOCK]) for i in blocks]
-            )
-        return score(model._operands, x)
+            return np.concatenate([score(x[i : i + _SCORE_BLOCK]) for i in blocks])
+        return score(x)
 
 
 def _winners(s: np.ndarray) -> np.ndarray:
@@ -496,10 +487,10 @@ def _frame_classifier(model: GestureModel) -> Callable[[np.ndarray], tuple[np.nd
     """``classify(x) -> (scores, idx)`` for a validated (63,) frame: the (K,)
     scores and the winning index, ties to the lowest. A non-finite winning
     score raises DatasetError. The caller silences numpy's overflow warnings."""
-    score, operands = MODEL_KINDS[model.kind].score, model._operands
+    score = model._score
 
     def classify(x: np.ndarray) -> tuple[np.ndarray, int]:
-        s = score(operands, x)
+        s = score(x)
         idx = int(s.argmax())
         if not math.isfinite(s[idx]):
             raise DatasetError(_NON_FINITE_SCORE)

@@ -115,14 +115,12 @@ def as_frames(rows) -> np.ndarray:
 class LabeledDataset:
     """Immutable collection of labeled landmark frames.
 
-    ``label_set`` is the sorted, duplicate-free label vocabulary. It defaults
-    to the labels observed in ``labels`` but may be given explicitly as a
-    superset (e.g. to train an output class with no examples yet).
+    ``label_set`` is the sorted, duplicate-free vocabulary of ``labels``.
     """
 
     frames: np.ndarray
     labels: tuple[str, ...]
-    label_set: tuple[str, ...] = field(default=())
+    label_set: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -137,22 +135,11 @@ class LabeledDataset:
             raise DatasetError(
                 f"{frames.shape[0]} frames but {len(labels)} labels"
             )
-        if self.label_set:
-            label_set = tuple(self.label_set)
-            if len(set(label_set)) != len(label_set):
-                raise DatasetError("label_set contains duplicates")
-            if list(label_set) != sorted(label_set):
-                raise DatasetError("label_set must be sorted lexicographically")
-            missing = set(labels) - set(label_set)
-            if missing:
-                raise DatasetError(f"labels not in label_set: {sorted(missing)}")
-        else:
-            label_set = tuple(sorted(set(labels)))
         frames = frames.copy()
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "label_set", label_set)
+        object.__setattr__(self, "label_set", tuple(sorted(set(labels))))
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -348,16 +335,17 @@ def save_landmark_dataset(ds: LabeledDataset, path: str, format: str | None = No
 
 
 def read_frames(path: str) -> list:
-    """Every frame of a frame source. A first line starting ``label,`` makes
-    it a dataset CSV and one starting ``{`` a dataset JSONL; otherwise each
-    non-blank line is one frame's list of fields, empty fields dropped, left
-    for :func:`as_frame` to check."""
+    """Every frame of a frame source. A first line whose first comma-separated
+    field is ``label`` in any case makes it a dataset CSV and one starting
+    ``{`` a dataset JSONL; otherwise each non-blank line is one frame's list
+    of fields, empty fields dropped, left for :func:`as_frame` to check."""
     with _open_input(path, "frame source", DatasetError) as fh:
         first = fh.readline()
         fh.seek(0)
-        if first.startswith("label,") or first.lstrip().startswith("{"):
-            fmt = "csv" if first.startswith("label,") else "jsonl"
-            return list(_read_dataset(fh, fmt, path).frames)
+        if first.split(",")[0].strip().lower() == "label":
+            return list(_read_dataset(fh, "csv", path).frames)
+        if first.lstrip().startswith("{"):
+            return list(_read_dataset(fh, "jsonl", path).frames)
         return [fields for _, fields in _frame_lines(fh)]
 
 

@@ -56,7 +56,6 @@ DEFAULT_COMMAND_PHRASES: tuple[str, ...] = (
 class TokenizedPhrase:
     """A phrase reduced to lowercase word tokens and their canonical join."""
 
-    raw: str
     tokens: tuple[str, ...]
 
     @property
@@ -67,7 +66,7 @@ class TokenizedPhrase:
 def normalize_phrase(text: str) -> TokenizedPhrase:
     """Lowercase, drop punctuation (apostrophes survive), split on whitespace."""
     kept = "".join([ch for ch in text.lower() if ch.isalnum() or ch == "'" or ch.isspace()])
-    return TokenizedPhrase(raw=text, tokens=tuple(kept.split()))
+    return TokenizedPhrase(tokens=tuple(kept.split()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,12 +118,12 @@ def load_embeddings(path: str) -> EmbeddingTable:
     with a warning; a dimension mismatch or a value that is not a finite
     number is an error naming the line. numpy parses the values, 128 rows
     per call, and the vectors are rows of its matrices; a file it does not
-    read exactly (a ragged row, a token only float() reads) is read per line.
+    read exactly (a ragged row, a token only float() reads) or with a
+    repeated word is read per line.
     """
     with _open_input(path, "embedding table", VoiceError) as fh:
         words: list[str] = []
-        linenos: list[int] = []
-        text = _vector_text(fh, words, linenos)
+        text = _vector_text(fh, words)
         try:
             # 128 rows per matrix: one matrix of a whole 10k-word table (4 MB)
             # raised peak RSS by 7% in a process that also trains models.
@@ -133,14 +132,9 @@ def load_embeddings(path: str) -> EmbeddingTable:
             if (sum(map(len, blocks)) == len(words)
                     and len({b.shape[1] for b in blocks}) == 1
                     and all(np.isfinite(b).all() for b in blocks)):
-                # row views, no copy; a duplicate keeps its first place and last row
-                entries = dict(zip(words, itertools.chain(*blocks)))
-                if len(entries) < len(words):
-                    first: dict[str, int] = {}
-                    for word, lineno in zip(words, linenos):
-                        if first.setdefault(word, lineno) != lineno:
-                            _warn_duplicate(path, lineno, word)
-                return EmbeddingTable(dimension=blocks[0].shape[1], entries=entries)
+                entries = dict(zip(words, itertools.chain(*blocks)))  # row views, no copy
+                if len(entries) == len(words):
+                    return EmbeddingTable(dimension=blocks[0].shape[1], entries=entries)
         except ValueError:
             pass
         fh.seek(0)
@@ -167,26 +161,21 @@ def load_embeddings(path: str) -> EmbeddingTable:
             if not np.isfinite(vec).all():
                 raise VoiceError(f"{path} line {lineno}: non-finite value")
             if word in entries:
-                _warn_duplicate(path, lineno, word)
+                warnings.warn(f"{path} line {lineno}: duplicate embedding for {word!r}; "
+                              "keeping the last", stacklevel=2)
             entries[word] = vec
     if dimension is None:
         raise VoiceError(f"{path}: no embedding entries")
     return EmbeddingTable(dimension=dimension, entries=entries)
 
 
-def _warn_duplicate(path: str, lineno: int, word: str) -> None:
-    warnings.warn(f"{path} line {lineno}: duplicate embedding for {word!r}; keeping the last",
-                  stacklevel=3)
-
-
-def _vector_text(lines, words: list[str], linenos: list[int]):
+def _vector_text(lines, words: list[str]):
     """The value text of each entry line, its word appended to ``words``
-    and its line number to ``linenos`` (a word with no values adds no row)."""
+    (a word with no values adds no row)."""
     for lineno, line in enumerate(lines, start=1):
         parts = line.split(None, 1)
         if parts and not (lineno == 1 and _is_header(line.split())):
             words.append(parts[0])
-            linenos.append(lineno)
             if len(parts) == 2:
                 yield parts[1]
 

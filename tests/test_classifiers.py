@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +26,7 @@ from natcmd import (
     train_linear_svm,
     train_mlp,
 )
-from natcmd.classifiers import MODEL_KINDS, svm_objective
+from natcmd.classifiers import svm_objective
 from natcmd.errors import DatasetError, ModelError, TrainingError
 
 
@@ -130,9 +132,7 @@ class TestSvmTraining:
 class TestMlpTraining:
     def test_memorizes_single_example(self):
         frame = np.random.default_rng(1).uniform(0, 1, FRAME_SIZE)
-        ds = LabeledDataset(
-            frames=frame[None, :], labels=("a",), label_set=("a", "b")
-        )
+        ds = LabeledDataset(frames=np.array([frame, -frame]), labels=("a", "b"))
         cfg = MlpConfig(hidden_units=8, learning_rate=0.5, batch_size=1, epochs=300, seed=4)
         model = train_mlp(ds, cfg)
         targets = one_hot_encode(ds.labels, ds.label_set)
@@ -507,6 +507,22 @@ class TestSerialization:
         with pytest.raises(ModelError):
             load_model(path)
 
+    MLP_PARAMS = {"w1": [[0.0] * 2] * FRAME_SIZE, "b1": [0.0] * 2,
+                  "w2": [[0.0] * 2] * 2, "b2": [0.0] * 2}
+    MLP_NAMES = "mlp params must be ('w1', 'b1', 'w2', 'b2')"
+
+    @pytest.mark.parametrize("params, message", [
+        ({k: v for k, v in MLP_PARAMS.items() if k != "b1"}, MLP_NAMES),
+        ({**MLP_PARAMS, "b1": [[0.0] * 2]}, "mlp parameter 'w1' must have shape (63, -1)"),
+        ({**MLP_PARAMS, "extra": [0.0]}, MLP_NAMES),
+    ], ids=["without b1", "2-D b1", "extra key"])
+    def test_bad_mlp_shape_rejected(self, tmp_path, params, message):
+        path = str(tmp_path / "shape.json")
+        with open(path, "w") as fh:
+            json.dump({"version": 1, "kind": "mlp", "labels": ["a", "b"], "params": params}, fh)
+        with pytest.raises(ModelError, match=re.escape(message)):
+            load_model(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ModelError):
             load_model(str(tmp_path / "absent.json"))
@@ -547,7 +563,7 @@ class TestMlpScoreAgainstReference:
 
     @staticmethod
     def assert_same(model, x):
-        got = MODEL_KINDS["mlp"].score(model._operands, x)
+        got = model._score(x)
         want = reference_mlp_scores(model.params, x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()

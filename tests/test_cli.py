@@ -129,6 +129,21 @@ class TestTrainEvaluate:
         assert err.splitlines() == ["error: svm objective is not finite after epoch 1"]
         assert not model.exists()
 
+    def test_mlp_overflow_exits_2_without_warnings(self, tmp_path, capsys):
+        # coordinates near 1e300 overflow the hidden layer, then the gradients
+        data, model = tmp_path / "big.csv", tmp_path / "m.json"
+        coords = np.random.default_rng(0).uniform(1e299, 1e300, (10, 63))
+        rows = [f"{'ab'[i % 2]}," + ",".join(map(repr, row))
+                for i, row in enumerate(coords.tolist())]
+        data.write_text("\n".join([",".join(natcmd.dataset.CSV_HEADER), *rows]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning prints as a line, not an error
+            code, out, err = run(capsys, "train", "--kind", "mlp", "--epochs", "3",
+                                 "--data", str(data), "-o", str(model))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: mlp parameters are not finite after epoch 2"]
+        assert not model.exists()
+
 
 class TestPredict:
     def test_predict_frame(self, small_data, tmp_path, capsys):
@@ -603,6 +618,18 @@ class TestUnreadableDataFiles:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read ")
         assert f"{small_data}: Permission denied" in err
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_capitalised_header_is_a_bad_csv_header(self, command, model_path, tmp_path,
+                                                    capsys, small_data):
+        # the frame source sniff sends any "label" first field to the CSV reader
+        with open(small_data, "rb") as fh:
+            text = fh.read()
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"Label" + text[len(b"label"):])
+        code, out, err = run(capsys, *self.argv(command, str(data), model_path, tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: bad CSV header (unknown columns ['Label'])\n"
 
     # line 3 is in the first block the text layer decodes; line 60 is not
     @pytest.mark.parametrize("bad_line", [3, 60])

@@ -62,18 +62,6 @@ class TestLabeledDataset:
         with pytest.raises(DatasetError):
             LabeledDataset(frames=np.zeros((2, FRAME_SIZE)), labels=("a",))
 
-    def test_unsorted_explicit_label_set_rejected(self):
-        with pytest.raises(DatasetError):
-            LabeledDataset(
-                frames=np.zeros((1, FRAME_SIZE)), labels=("a",), label_set=("b", "a")
-            )
-
-    def test_label_outside_label_set_rejected(self):
-        with pytest.raises(DatasetError):
-            LabeledDataset(
-                frames=np.zeros((1, FRAME_SIZE)), labels=("c",), label_set=("a", "b")
-            )
-
     def test_frames_immutable(self):
         ds = make_dataset(["a"])
         with pytest.raises(ValueError):

@@ -62,11 +62,16 @@ def scored(monkeypatch):
     frames = []
     kind = natcmd.classifiers.MODEL_KINDS["svm"]
 
-    def record(operands, x):
-        frames.append(x.copy())
-        return kind.score(operands, x)
+    def scorer(params):
+        score = kind.scorer(params)
 
-    monkeypatch.setitem(natcmd.classifiers.MODEL_KINDS, "svm", replace(kind, score=record))
+        def record(x):
+            frames.append(x.copy())
+            return score(x)
+
+        return record
+
+    monkeypatch.setitem(natcmd.classifiers.MODEL_KINDS, "svm", replace(kind, scorer=scorer))
     return frames
 
 
