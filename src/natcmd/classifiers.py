@@ -419,7 +419,9 @@ def _mlp_scorer(params):
 
 def _mlp_shapes(params, k):
     b1 = params.get("b1")
-    return _mlp_layout(b1.shape[0] if b1 is not None and b1.ndim == 1 else -1, k)
+    if b1 is not None and b1.ndim != 1:  # H is the length of b1, so name b1 itself
+        raise ModelError(f"mlp parameter 'b1' must be 1-D, got shape {b1.shape}")
+    return _mlp_layout(-1 if b1 is None else b1.shape[0], k)
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,18 @@ def normalize_phrase(text: str) -> TokenizedPhrase:
     return TokenizedPhrase(tokens=tuple(kept.split()))
 
 
+#: The largest magnitude an embedding value may have. With |v| <= 1e100, a
+#: sum of n token vectors of dimension d has components within n * 1e100,
+#: so its squared norm is at most d * n^2 * 1e200 and its dot with a
+#: transcript vector at most d * n * 1e200: finite (below 1.8e308) for any
+#: d * n^2 under 1e108, so for any table and command list that fit in memory.
+MAX_MAGNITUDE = 1e100
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Word -> vector lookup; all vectors share one dimension."""
+    """Word -> vector lookup; all vectors share one dimension, and every
+    value is within +-MAX_MAGNITUDE."""
 
     dimension: int
     entries: dict[str, np.ndarray]
@@ -83,13 +92,13 @@ class EmbeddingTable:
         for word, vec in self.entries.items():
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (self.dimension,):
-                _check_finite(entries)  # an earlier non-finite vector is named first
+                _check_values(entries)  # an earlier bad vector is named first
                 raise VoiceError(
                     f"vector for {word!r} has shape {arr.shape}, "
                     f"expected ({self.dimension},)"
                 )
             entries[word] = arr
-        _check_finite(entries)
+        _check_values(entries)
         object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
@@ -99,15 +108,19 @@ class EmbeddingTable:
         return word in self.entries
 
 
-def _check_finite(entries: dict[str, np.ndarray]) -> None:
-    """Raise naming the first word whose vector has a non-finite value;
-    one numpy call checks 1024 vectors."""
+def _check_values(entries: dict[str, np.ndarray]) -> None:
+    """Raise naming the first word whose vector has a non-finite value or one
+    out of range; one numpy call checks 1024 vectors."""
     words = list(entries)
     for start in range(0, len(words), 1024):
         chunk = words[start:start + 1024]
-        finite = np.isfinite([entries[w] for w in chunk]).all(axis=1)
-        if not finite.all():
-            raise VoiceError(f"vector for {chunk[finite.argmin()]!r} has non-finite values")
+        values = np.array([entries[w] for w in chunk])  # a copy, so abs in place
+        ok = (np.abs(values, out=values) <= MAX_MAGNITUDE).all(axis=1)
+        if not ok.all():
+            word = chunk[ok.argmin()]
+            if not np.isfinite(entries[word]).all():
+                raise VoiceError(f"vector for {word!r} has non-finite values")
+            raise VoiceError(f"vector for {word!r} has a value of magnitude over {MAX_MAGNITUDE:g}")
 
 
 def load_embeddings(path: str) -> EmbeddingTable:
@@ -115,69 +128,76 @@ def load_embeddings(path: str) -> EmbeddingTable:
 
     A first line of exactly two integers (count and dimension) is treated as
     a header and skipped. Later duplicates of a word replace earlier ones
-    with a warning; a dimension mismatch or a value that is not a finite
-    number is an error naming the line. numpy parses the values, 128 rows
-    per call, and the vectors are rows of its matrices; a file it does not
-    read exactly (a ragged row, a token only float() reads) or with a
-    repeated word is read per line.
+    with a warning; a dimension mismatch, a word with no values, or a value
+    that is not a number, not finite or of magnitude over 1e100 is an error
+    naming the line. The file is read once, 128 entry lines at a time: numpy
+    parses each block and the vectors are rows of its matrix; only a block
+    numpy does not read exactly (say, a ragged row or a ``1_0``) goes per line.
     """
+    entries: dict[str, np.ndarray] = {}
+    dimension: int | None = None
     with _open_input(path, "embedding table", VoiceError) as fh:
-        words: list[str] = []
-        text = _vector_text(fh, words)
-        try:
-            # 128 rows per matrix: one matrix of a whole 10k-word table (4 MB)
-            # raised peak RSS by 7% in a process that also trains models.
-            blocks = [np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
-                      for chunk in iter(lambda: list(itertools.islice(text, 128)), [])]
-            if (sum(map(len, blocks)) == len(words)
-                    and len({b.shape[1] for b in blocks}) == 1
-                    and all(np.isfinite(b).all() for b in blocks)):
-                entries = dict(zip(words, itertools.chain(*blocks)))  # row views, no copy
-                if len(entries) == len(words):
-                    return EmbeddingTable(dimension=blocks[0].shape[1], entries=entries)
-        except ValueError:
-            pass
-        fh.seek(0)
-        entries: dict[str, np.ndarray] = {}
-        dimension: int | None = None
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or (lineno == 1 and _is_header(parts)):
-                continue
-            word, values = parts[0], parts[1:]
-            if not values:
-                raise VoiceError(f"{path} line {lineno}: no vector values")
-            if dimension is None:
-                dimension = len(values)
-            elif len(values) != dimension:
-                raise VoiceError(
-                    f"{path} line {lineno}: expected {dimension} values, "
-                    f"got {len(values)}"
-                )
-            try:
-                vec = np.array([float(v) for v in values])
-            except ValueError:
-                raise VoiceError(f"{path} line {lineno}: non-numeric value") from None
-            if not np.isfinite(vec).all():
-                raise VoiceError(f"{path} line {lineno}: non-finite value")
-            if word in entries:
-                warnings.warn(f"{path} line {lineno}: duplicate embedding for {word!r}; "
-                              "keeping the last", stacklevel=2)
-            entries[word] = vec
+        lines = _entry_lines(fh)
+        # 128 rows per matrix: one matrix of a whole 10k-word table (4 MB)
+        # raised peak RSS by 7% in a process that also trains models.
+        for block in iter(lambda: list(itertools.islice(lines, 128)), []):
+            rows = _numpy_block(block, dimension)
+            if rows is None:
+                rows = _parsed_rows(path, block, dimension)
+            for (lineno, word, _), vec in zip(block, rows):
+                if word in entries:
+                    warnings.warn(f"{path} line {lineno}: duplicate embedding for {word!r}; "
+                                  "keeping the last", stacklevel=2)
+                entries[word] = vec  # from numpy, a row view of its matrix: no copy
+            dimension = len(vec)
     if dimension is None:
         raise VoiceError(f"{path}: no embedding entries")
     return EmbeddingTable(dimension=dimension, entries=entries)
 
 
-def _vector_text(lines, words: list[str]):
-    """The value text of each entry line, its word appended to ``words``
-    (a word with no values adds no row)."""
+def _entry_lines(lines):
+    """(line number, word, value text) of each entry line, skipping blank
+    lines and a first-line ``N d`` header; a word with no values has text ''."""
     for lineno, line in enumerate(lines, start=1):
         parts = line.split(None, 1)
         if parts and not (lineno == 1 and _is_header(line.split())):
-            words.append(parts[0])
-            if len(parts) == 2:
-                yield parts[1]
+            yield lineno, parts[0], parts[1] if len(parts) == 2 else ""
+
+
+def _numpy_block(block, dimension: int | None) -> np.ndarray | None:
+    """The block's values as one matrix if numpy reads it exactly (a row per
+    line, ``dimension`` wide once known, every value in range), else None."""
+    texts = [text for _, _, text in block]
+    if not all(texts):  # a word with no values: numpy would warn "input contained no data"
+        return None
+    try:
+        matrix = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    exact = matrix.shape == (len(block), dimension or matrix.shape[1])
+    return matrix if exact and (np.abs(matrix) <= MAX_MAGNITUDE).all() else None
+
+
+def _parsed_rows(path: str, block, dimension: int | None):
+    """Each line's values, read by float() and checked as the caller reaches
+    it, so an error follows the warnings of the lines before it."""
+    for lineno, _, text in block:
+        values = text.split()
+        if not values:
+            raise VoiceError(f"{path} line {lineno}: no vector values")
+        if dimension is not None and len(values) != dimension:
+            raise VoiceError(f"{path} line {lineno}: expected {dimension} values, "
+                             f"got {len(values)}")
+        dimension = len(values)
+        try:
+            vec = np.array([float(v) for v in values])
+        except ValueError:
+            raise VoiceError(f"{path} line {lineno}: non-numeric value") from None
+        if not np.isfinite(vec).all():
+            raise VoiceError(f"{path} line {lineno}: non-finite value")
+        if not (np.abs(vec) <= MAX_MAGNITUDE).all():
+            raise VoiceError(f"{path} line {lineno}: value of magnitude over {MAX_MAGNITUDE:g}")
+        yield vec
 
 
 def _is_header(parts: list[str]) -> bool:

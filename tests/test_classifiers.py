@@ -513,7 +513,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("params, message", [
         ({k: v for k, v in MLP_PARAMS.items() if k != "b1"}, MLP_NAMES),
-        ({**MLP_PARAMS, "b1": [[0.0] * 2]}, "mlp parameter 'w1' must have shape (63, -1)"),
+        ({**MLP_PARAMS, "b1": [[0.0] * 2]}, "mlp parameter 'b1' must be 1-D, got shape (1, 2)"),
         ({**MLP_PARAMS, "extra": [0.0]}, MLP_NAMES),
     ], ids=["without b1", "2-D b1", "extra key"])
     def test_bad_mlp_shape_rejected(self, tmp_path, params, message):

@@ -240,6 +240,42 @@ class TestMatch:
         assert (code, out) == (2, "")
         assert err == f"error: {path} line 3: non-finite value\n"
 
+    def test_overflowing_norms_exit_2_without_warnings(self, tmp_path, capsys):
+        # finite values whose squares overflow the norms in resolve
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w") as fh:
+            fh.write("move 1e308 1e308 0\nforward 1e308 0 1e308\nlook 0 0 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning prints as a line, not an error
+            code, out, err = run(capsys, "match", "--embeddings", path, "--text", "move forward")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} line 1: value of magnitude over 1e+100\n"
+
+    @pytest.mark.parametrize("k", [1, 332, 700])
+    def test_table_scaled_by_a_power_of_two_resolves_alike(self, tmp_path, capsys, k):
+        """Cosine does not change when every vector is scaled by 2^-k: with
+        values up to the bound, the scaled table gives the same bytes."""
+        from natcmd.voice import DEFAULT_COMMAND_PHRASES
+
+        words = sorted({t for p in DEFAULT_COMMAND_PHRASES for t in p.split()})
+        values = np.ldexp(np.random.default_rng(3).uniform(-1, 1, (len(words), 6)), 332)
+        values[:2, 0] = [1e100, -1e100]
+        polls = tmp_path / "polls.txt"
+        polls.write_text("move forward\nlook up\n\nzoom\ngo to the kitchen\nhide plan\n")
+        outputs = []
+        for scale in (0, k):
+            path = tmp_path / f"emb{scale}.txt"
+            path.write_text("".join(f"{w} " + " ".join(map(repr, row)) + "\n"
+                                    for w, row in zip(words, np.ldexp(values, -scale).tolist())))
+            outputs.append([run(capsys, "match", "--embeddings", str(path), "--text", text)
+                            for text in ("move forward", "show floor", "xyzzy")])
+            outputs[-1].append(run(capsys, "run", "--transcripts", str(polls),
+                                   "--embeddings", str(path)))
+        assert outputs[0] == outputs[1]
+        assert [code for code, _, _ in outputs[0]] == [0] * 4
+        assert json.loads(outputs[0][0][1])["matched"]["action"] == "move_forward"
+        assert len(outputs[0][3][1].splitlines()) == 5  # every non-silent poll fires
+
     def test_duplicate_warning_is_one_line(self, embeddings_file, capsys):
         with open(embeddings_file, "a") as fh:
             fh.write("move 1 1 1 1 1 1 1 1\n")

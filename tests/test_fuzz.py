@@ -3,16 +3,18 @@
 Each case mutates a valid file once -- a byte flip, a truncation, a dropped
 or duplicated field, a huge integer, a non-finite token, a BOM, CRLF or CR
 line endings, or bytes that are not UTF-8; in the JSON formats also deep
-nesting, in a model a parameter that is an object, and in raw frame lines
-coordinates of +-1.7e308 -- and reads it through the library reader and
-every ``natcmd`` command that reads that format.
+nesting, in a model a parameter that is an object, in raw frame lines
+coordinates of +-1.7e308, and in embeddings values near 1e100, 1e154 and
+1e308 -- and reads it through the library reader and every ``natcmd``
+command that reads that format.
 
 Invariant: every entry point accepts the file and gives what the library
 gives for the library's parse, or rejects it with a NatcmdError; on the
 command line that is exit 2 and an ``error:`` line. Never another exception,
 and never exit 1. What a command that exits 0 prints is strict JSON (no
 NaN or Infinity), and each ``run`` line is an event that decodes and
-encodes back to the same bytes. Seeds are fixed, so every case reproduces.
+encodes back to the same bytes; its stderr holds no numpy warning. Seeds
+are fixed, so every case reproduces.
 """
 
 import io
@@ -213,6 +215,7 @@ class Natcmd:
             assert "error: " in err and err.endswith(f"{error}\n"), err
             return None
         assert code == 0, err
+        assert "encountered in" not in err, err  # a numpy RuntimeWarning
         check_stdout(argv[0], out)
         if wanted is not None:
             summary = json.loads(err.splitlines()[-1]) if argv[0] == "run" else None
@@ -447,6 +450,12 @@ EMBEDDING_SEPARATORS = [t.encode() for t in ("\t", "\xa0", "\x85", "\x0b", "\x0c
                                              "\x1f", "\u3000")]
 
 
+# Values at the magnitude bound (accepted) and past it: near 1e154 a square
+# overflows, near 1e308 the value itself nearly does.
+EMBEDDING_MAGNITUDES = [t.encode() for t in ("1e100", "-1e100", "1.0000000000000002e100",
+                                             "1e154", "-1.4e154", "1e308", "-1.7e308")]
+
+
 @pytest.mark.parametrize("token", EMBEDDING_TOKENS + EMBEDDING_SEPARATORS)
 def test_embedding_tokens(token, inputs, tmp_path, capsys):
     rng = random.Random(token)
@@ -458,6 +467,20 @@ def test_embedding_tokens(token, inputs, tmp_path, capsys):
         data = _replace_number(data, rng, [token])
     path = tmp_path / "tokens.txt"
     path.write_bytes(data)
+    check_embeddings(Natcmd(capsys), inputs, path)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("token", EMBEDDING_MAGNITUDES)
+def test_embedding_magnitudes(token, seed, inputs, tmp_path, capsys):
+    """One value of a command word's vector becomes ``token``."""
+    lines = inputs.embeddings.encode().split(b"\n")
+    rng = random.Random(f"{token} {seed}")
+    n = rng.randrange(1, len(lines) - 1)  # an entry line, not the header
+    word, values = lines[n].split(b" ", 1)
+    lines[n] = word + b" " + _replace_number(values, rng, [token])
+    path = tmp_path / "magnitudes.txt"
+    path.write_bytes(b"\n".join(lines))
     check_embeddings(Natcmd(capsys), inputs, path)
 
 

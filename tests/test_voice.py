@@ -155,7 +155,7 @@ class TestEmbeddings:
         assert [str(w.message) for w in record] == [
             f"{path} line 4: duplicate embedding for 'a'; keeping the last"]
 
-    def test_duplicates_take_the_per_line_reader(self, tmp_path, monkeypatch):
+    def test_duplicates_warn_in_line_order_and_the_last_wins(self, tmp_path, monkeypatch):
         path = str(tmp_path / "emb.txt")
         with open(path, "w") as fh:
             fh.write("4 2\na 1 2\nb 3 4\n\na 5 6\nc 7 8\nb 9 10\na 11 12\n")
@@ -183,6 +183,28 @@ class TestEmbeddings:
         entries["w2100"] = np.array([1.0, np.inf, 0.0])
         with pytest.raises(VoiceError, match="^vector for 'w2100' has non-finite values$"):
             EmbeddingTable(dimension=3, entries=entries)
+
+    def test_value_over_the_bound_names_path_and_line(self, tmp_path):
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w") as fh:
+            fh.write("a 1 2\nb 1e100 -1e100\nc 3 -1.0000000000000002e100\n")
+        with pytest.raises(VoiceError,
+                           match=f"^{re.escape(path)} line 3: value of magnitude over 1e\\+100$"):
+            load_embeddings(path)
+        with open(path, "w") as fh:
+            fh.write("a 1 2\nb 1e100 -1e100\n")
+        assert load_embeddings(path).entries["b"].tolist() == [1e100, -1e100]
+
+    def test_direct_table_names_the_word_over_the_bound(self):
+        entries = {f"w{i}": np.ones(3) for i in range(2500)}
+        entries["w1500"] = np.array([1.0, -1e101, 0.0])
+        with pytest.raises(VoiceError,
+                           match="^vector for 'w1500' has a value of magnitude over 1e\\+100$"):
+            EmbeddingTable(dimension=3, entries=entries)
+        entries["w1400"] = np.array([1.0, np.nan, 0.0])
+        with pytest.raises(VoiceError, match="^vector for 'w1400' has non-finite values$"):
+            EmbeddingTable(dimension=3, entries=entries)
+        assert len(EmbeddingTable(dimension=1, entries={"a": [1e100], "b": [-1e100]})) == 2
 
     def test_direct_table_reports_errors_in_entry_order(self):
         with pytest.raises(VoiceError, match="'a' has non-finite"):
@@ -486,6 +508,18 @@ def refuse_loadtxt(*args, **kwargs):
     raise ValueError("numpy pass switched off")
 
 
+def spy_on_loadtxt(monkeypatch):
+    """Patch ``np.loadtxt`` to keep each matrix it returns, in a list returned."""
+    loadtxt, matrices = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        matrices.append(loadtxt(*args, **kwargs))
+        return matrices[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return matrices
+
+
 class TestEmbeddingsReaderAgainstRowReader:
     """The numpy pass gives what the per-line reader gives, bit for bit."""
 
@@ -524,6 +558,59 @@ class TestEmbeddingsReaderAgainstRowReader:
         fast = [read_outcome(path)[0] for path in paths]
         monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
         assert [read_outcome(path)[0] for path in paths] == fast
+
+    ODD_ROWS = {
+        "repeated word": lambda i, row: f"w{(i + 1) % 300} " + row.split(None, 1)[1],
+        "1_0 token": lambda i, row: row.replace(" ", " 1_0 ", 1).rsplit(" ", 1)[0],
+        "ragged row": lambda i, row: row + " 4",
+        "nan": lambda i, row: row.rsplit(" ", 1)[0] + " nan",
+        "word with no values": lambda i, row: row.split()[0],
+        "value over the bound": lambda i, row: row.rsplit(" ", 1)[0] + " -1e101",
+    }
+
+    @pytest.mark.parametrize("kind", list(ODD_ROWS))
+    def test_one_odd_row_at_each_position(self, tmp_path, monkeypatch, kind):
+        """300 rows of 3 values, one of them odd: every place in and across
+        the 128-row blocks."""
+        rows = [f"w{i} {i}.5 -{i}.25 {i % 7}e-3" for i in range(300)]
+        paths = []
+        for odd in range(300):
+            paths.append(str(tmp_path / f"emb{odd}.txt"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.writelines((self.ODD_ROWS[kind](i, row) if i == odd else row) + "\n"
+                              for i, row in enumerate(rows))
+        fast = [read_outcome(path)[0] for path in paths]
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
+        assert [read_outcome(path)[0] for path in paths] == fast
+
+    def test_one_loadtxt_call_per_block_and_one_pass(self, tmp_path, monkeypatch):
+        """A repeated word does not send the table through a second pass:
+        numpy reads each block once, and every vector is a row of its matrix."""
+        matrices = spy_on_loadtxt(monkeypatch)
+        path = str(tmp_path / "emb.txt")
+        rows = [f"w{i} {i} -{i}.5" for i in range(300)]
+        for extra, blocks in (([], [128, 128, 44]), (["w7 1 2"], [128, 128, 45])):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("300 2\n" + "\n".join(rows + extra) + "\n")
+            matrices.clear()
+            table = read_outcome(path)[1]
+            assert [len(m) for m in matrices] == blocks
+            assert all(any(np.shares_memory(vec, m) for m in matrices)
+                       for vec in table.entries.values())
+        assert table.entries["w7"].tolist() == [1.0, 2.0]
+
+    def test_clean_blocks_keep_numpy_rows(self, tmp_path, monkeypatch):
+        """A 1_0 in the second block sends only that block through float()."""
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"w{i} {'1_0' if i == 200 else i} 2\n" for i in range(300))
+        matrices = spy_on_loadtxt(monkeypatch)
+        fast, table = read_outcome(path)
+        shared = [any(np.shares_memory(vec, m) for m in matrices)
+                  for vec in table.entries.values()]
+        assert shared == [not 128 <= i < 256 for i in range(300)]
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
+        assert read_outcome(path)[0] == fast
 
     def test_benchmark_sized_table(self, tmp_path, monkeypatch):
         """10,000 words of 50 values, written as the benchmark writes its table."""
