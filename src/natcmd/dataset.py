@@ -80,7 +80,9 @@ def as_frame(coords) -> np.ndarray:
         raise DatasetError(
             f"frame must have exactly {FRAME_SIZE} coordinates, got shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
+    # NaN and +-inf carry into the sum of squares; only when a finite frame's
+    # sum overflows (np.vdot, unlike @, does not warn) is every value tested.
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise DatasetError("frame contains non-finite values")
     return arr
 

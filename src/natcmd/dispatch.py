@@ -27,7 +27,7 @@ from .classifiers import MODEL_KINDS, GestureModel, _frame_classifier
 from .classifiers import predict  # noqa: F401
 from .dataset import _open_input, as_frame
 from .errors import DatasetError, StreamError
-from .voice import CommandList, EmbeddingTable, _command_side, _score, normalize_phrase
+from .voice import CommandList, EmbeddingTable, _best, _command_side, normalize_phrase
 # Unused here: bench/spans.py's traced() rebinds dispatch.resolve_command, and
 # fails with AttributeError without it.
 from .voice import resolve_command  # noqa: F401
@@ -200,10 +200,10 @@ def run_voice_stream(
 ) -> VoiceStreamSummary:
     """Resolve each polled transcript; accepted matches emit one event.
 
-    Each poll is resolved as :func:`resolve_command` does it, without
-    building a ``MatchResult``. The command side (each command's summed
-    token vectors and their norms) is read from ``table`` once, when the
-    stream starts; transcript words are looked up in ``table`` per poll.
+    Each poll gets :func:`resolve_command`'s match and total, with no
+    ``MatchResult`` and no Jaro-Winkler value for a command that cannot win.
+    The command side (each command's summed token vectors and their norms) is
+    read from ``table`` once; transcript words are looked up per poll.
     An error raised by ``transcripts`` is logged and polling continues; after
     ``max_consecutive_failures`` errors in a row the stream aborts and the
     summary says so. Silent polls (None) are counted but emit nothing.
@@ -236,7 +236,7 @@ def run_voice_stream(
         polls += 1
         if item is None:
             continue
-        _, _, best, total = _score(normalize_phrase(item), commands, table, sums, sum_norms)
+        best, total = _best(normalize_phrase(item), commands, table, sums, sum_norms)
         if best is None:
             continue
         emit(commands.commands[best].action_id, min(1.0, total / 2.0))

@@ -75,12 +75,19 @@ def normalize_phrase(text: str) -> TokenizedPhrase:
 #: transcript vector at most d * n * 1e200: finite (below 1.8e308) for any
 #: d * n^2 under 1e108, so for any table and command list that fit in memory.
 MAX_MAGNITUDE = 1e100
+#: The smallest magnitude a nonzero embedding value may have. Doubles of
+#: magnitude >= 1e-100 are multiples of 2^-385 (their spacing near 1e-100),
+#: so a sum of them is 0 or at least 2^-385 > 1e-116, and a mean of n < 2^53
+#: vectors has each nonzero component over 1e-132. Every norm of a nonzero
+#: sum or mean is then over 1e-132, and a product of two over 1e-264: none
+#: underflows to 0.
+MIN_MAGNITUDE = 1e-100
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Word -> vector lookup; all vectors share one dimension, and every
-    value is within +-MAX_MAGNITUDE."""
+    value is 0 or of magnitude from MIN_MAGNITUDE to MAX_MAGNITUDE."""
 
     dimension: int
     entries: dict[str, np.ndarray]
@@ -101,11 +108,31 @@ class EmbeddingTable:
         _check_values(entries)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _checked(cls, dimension: int, entries: dict[str, np.ndarray]) -> "EmbeddingTable":
+        """The table of float64 vectors the caller has checked, with no second check."""
+        table = object.__new__(cls)
+        table.__dict__.update(dimension=dimension, entries=entries)
+        return table
+
     def __len__(self) -> int:
         return len(self.entries)
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
+
+
+def _in_range(magnitudes: np.ndarray) -> np.ndarray:
+    """Per magnitude, whether it is 0 or from MIN_MAGNITUDE to MAX_MAGNITUDE
+    (NaN is not)."""
+    return (magnitudes <= MAX_MAGNITUDE) & ((magnitudes >= MIN_MAGNITUDE) | (magnitudes == 0.0))
+
+
+def _range_error(values: np.ndarray) -> str:
+    """What is wrong with finite ``values`` that are not all in range."""
+    if (np.abs(values) > MAX_MAGNITUDE).any():
+        return f"value of magnitude over {MAX_MAGNITUDE:g}"
+    return f"nonzero value of magnitude under {MIN_MAGNITUDE:g}"
 
 
 def _check_values(entries: dict[str, np.ndarray]) -> None:
@@ -115,12 +142,12 @@ def _check_values(entries: dict[str, np.ndarray]) -> None:
     for start in range(0, len(words), 1024):
         chunk = words[start:start + 1024]
         values = np.array([entries[w] for w in chunk])  # a copy, so abs in place
-        ok = (np.abs(values, out=values) <= MAX_MAGNITUDE).all(axis=1)
+        ok = _in_range(np.abs(values, out=values)).all(axis=1)
         if not ok.all():
             word = chunk[ok.argmin()]
             if not np.isfinite(entries[word]).all():
                 raise VoiceError(f"vector for {word!r} has non-finite values")
-            raise VoiceError(f"vector for {word!r} has a value of magnitude over {MAX_MAGNITUDE:g}")
+            raise VoiceError(f"vector for {word!r} has a {_range_error(entries[word])}")
 
 
 def load_embeddings(path: str) -> EmbeddingTable:
@@ -130,9 +157,11 @@ def load_embeddings(path: str) -> EmbeddingTable:
     a header and skipped. Later duplicates of a word replace earlier ones
     with a warning; a dimension mismatch, a word with no values, or a value
     that is not a number, not finite or of magnitude over 1e100 is an error
-    naming the line. The file is read once, 128 entry lines at a time: numpy
-    parses each block and the vectors are rows of its matrix; only a block
-    numpy does not read exactly (say, a ragged row or a ``1_0``) goes per line.
+    naming the line, and so is a nonzero value of magnitude under 1e-100.
+    The file is read once, 128 entry lines at a time: numpy parses each
+    block and the vectors are rows of its matrix; only a block numpy does
+    not read exactly (say, a ragged row or a ``1_0``) goes per line. The
+    table is built without checking the vectors a second time.
     """
     entries: dict[str, np.ndarray] = {}
     dimension: int | None = None
@@ -152,7 +181,7 @@ def load_embeddings(path: str) -> EmbeddingTable:
             dimension = len(vec)
     if dimension is None:
         raise VoiceError(f"{path}: no embedding entries")
-    return EmbeddingTable(dimension=dimension, entries=entries)
+    return EmbeddingTable._checked(dimension, entries)
 
 
 def _entry_lines(lines):
@@ -175,7 +204,7 @@ def _numpy_block(block, dimension: int | None) -> np.ndarray | None:
     except ValueError:
         return None
     exact = matrix.shape == (len(block), dimension or matrix.shape[1])
-    return matrix if exact and (np.abs(matrix) <= MAX_MAGNITUDE).all() else None
+    return matrix if exact and _in_range(np.abs(matrix)).all() else None
 
 
 def _parsed_rows(path: str, block, dimension: int | None):
@@ -195,8 +224,8 @@ def _parsed_rows(path: str, block, dimension: int | None):
             raise VoiceError(f"{path} line {lineno}: non-numeric value") from None
         if not np.isfinite(vec).all():
             raise VoiceError(f"{path} line {lineno}: non-finite value")
-        if not (np.abs(vec) <= MAX_MAGNITUDE).all():
-            raise VoiceError(f"{path} line {lineno}: value of magnitude over {MAX_MAGNITUDE:g}")
+        if not _in_range(np.abs(vec)).all():
+            raise VoiceError(f"{path} line {lineno}: {_range_error(vec)}")
         yield vec
 
 
@@ -283,6 +312,21 @@ def _jaro_winkler(s1: str, s2: str, positions: dict[str, list[int]]) -> float:
     return j + prefix * WINKLER_PREFIX_SCALE * (1.0 - j)
 
 
+def _char_counts(s: str) -> np.ndarray:
+    """Counts of the characters of ``s``: a bucket per ASCII code, one (128) for the rest."""
+    codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return np.bincount(np.minimum(codes, 128), minlength=129)
+
+
+def _jw_bounds(s: str, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Upper bounds, with 1e-12 of slack, on the Jaro-Winkler value of a nonempty
+    ``s`` against the strings whose :func:`_char_counts` and lengths these are:
+    the m matches are at most the shared characters, so Jaro <= (m/len1 +
+    m/len2 + 1)/3, and a prefix of at most 4 gives JW <= 0.6 Jaro + 0.4."""
+    m = np.minimum(counts, _char_counts(s)).sum(axis=1)
+    return 0.2 * (m / len(s) + m / lengths + 1.0) + 0.4 + 1e-12
+
+
 def jaro(s1: str, s2: str) -> float:
     """Jaro similarity over characters.
 
@@ -313,12 +357,14 @@ class Command:
 @dataclass(frozen=True, eq=False)
 class CommandList:
     """The commands, plus what resolving needs of their phrases, computed once:
-    each canonical string and its Jaro position map, all tokens in one tuple,
-    and a (C, T) 0/1 matrix whose row c marks the tokens of command c."""
+    canonical strings with Jaro position maps, character counts and lengths,
+    all tokens in one tuple, and a (C, T) 0/1 matrix marking c's tokens in row c."""
 
     commands: tuple[Command, ...]
     _canonicals: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _positions: tuple[dict, ...] = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
     _tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _token_owner: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -341,6 +387,8 @@ class CommandList:
         object.__setattr__(self, "commands", commands)
         object.__setattr__(self, "_canonicals", canonicals)
         object.__setattr__(self, "_positions", tuple(map(_char_positions, canonicals)))
+        object.__setattr__(self, "_counts", np.array(list(map(_char_counts, canonicals))))
+        object.__setattr__(self, "_lengths", np.array(list(map(len, canonicals))))
         object.__setattr__(self, "_tokens", tokens)
         object.__setattr__(self, "_token_owner", owner)
 
@@ -416,24 +464,50 @@ def _command_side(commands: CommandList, table: EmbeddingTable):
     return sums, np.linalg.norm(sums, axis=1)
 
 
+def _cosines(phrase: TokenizedPhrase, table: EmbeddingTable, sums, sum_norms) -> np.ndarray:
+    """Every command's cosine against ``phrase``, clamped at 0 (see :func:`_score`)."""
+    tvec = phrase_vector(phrase, table)
+    norms = sum_norms * np.linalg.norm(tvec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = (sums @ tvec) / norms
+    cosines[~(cosines > 0.0)] = 0.0  # clamp at 0; a zero norm gives 0/0 -> 0
+    return cosines
+
+
 def _score(phrase: TokenizedPhrase, commands: CommandList, table: EmbeddingTable,
            sums: np.ndarray, sum_norms: np.ndarray):
     """Every command's cosine and Jaro-Winkler value against ``phrase``, as
     lists in command order, then the best index and total. Ties go to the
     earlier command; the index is None unless the total exceeds the
     threshold. ``sums`` and ``sum_norms`` are the :func:`_command_side`."""
-    tvec = phrase_vector(phrase, table)
-    norms = sum_norms * np.linalg.norm(tvec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosines = (sums @ tvec) / norms
-    cosines[~(cosines > 0.0)] = 0.0  # clamp at 0; a zero norm gives 0/0 -> 0
-    cosines = cosines.tolist()
+    cosines = _cosines(phrase, table, sums, sum_norms).tolist()
     jws = list(map(_jaro_winkler, itertools.repeat(phrase.canonical), commands._canonicals,
                    commands._positions))
     totals = list(map(operator.add, cosines, jws))
     best_total = max(totals)
     best = totals.index(best_total) if best_total > MATCH_THRESHOLD else None
     return cosines, jws, best, best_total
+
+
+def _best(phrase: TokenizedPhrase, commands: CommandList, table: EmbeddingTable,
+          sums: np.ndarray, sum_norms: np.ndarray):
+    """:func:`_score`'s best index and total, computing the Jaro-Winkler values
+    only of commands whose ceiling (cosine plus :func:`_jw_bounds`) can still
+    win, in descending order of ceiling (equal ones in command order)."""
+    s = phrase.canonical
+    if not s:
+        return _score(phrase, commands, table, sums, sum_norms)[2:]
+    cosines = _cosines(phrase, table, sums, sum_norms)
+    ceilings = cosines + _jw_bounds(s, commands._counts, commands._lengths)
+    order = np.argsort(-ceilings, kind="stable")
+    cosines, best, best_total = cosines.tolist(), None, -1.0
+    for i, ceiling in zip(order.tolist(), ceilings[order].tolist()):
+        if ceiling < best_total or ceiling <= MATCH_THRESHOLD:  # an equal total can still win
+            break
+        total = cosines[i] + _jaro_winkler(s, commands._canonicals[i], commands._positions[i])
+        if total > best_total or (total == best_total and i < best):
+            best, best_total = i, total
+    return (best if best_total > MATCH_THRESHOLD else None), best_total
 
 
 def resolve_command(

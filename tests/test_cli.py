@@ -251,10 +251,23 @@ class TestMatch:
         assert (code, out) == (2, "")
         assert err == f"error: {path} line 1: value of magnitude over 1e+100\n"
 
-    @pytest.mark.parametrize("k", [1, 332, 700])
+    def test_underflowing_norms_exit_2_without_warnings(self, tmp_path, capsys):
+        # nonzero values whose squares underflow: the norms in resolve would be 0
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w") as fh:
+            fh.write("move 1e-200 1e-200 0\nforward 1e-200 0 1e-200\nlook 0 0 1e-200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning prints as a line, not an error
+            code, out, err = run(capsys, "match", "--embeddings", path, "--text", "move forward")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} line 1: nonzero value of magnitude under 1e-100\n"
+
+    @pytest.mark.parametrize("k", [1, 332, 657])
     def test_table_scaled_by_a_power_of_two_resolves_alike(self, tmp_path, capsys, k):
         """Cosine does not change when every vector is scaled by 2^-k: with
-        values up to the bound, the scaled table gives the same bytes."""
+        values up to the bound and down to the floor (2^-657 takes this
+        table's smallest value to 1.4e-100; 2^-658 would put it under), the
+        scaled table gives the same bytes."""
         from natcmd.voice import DEFAULT_COMMAND_PHRASES
 
         words = sorted({t for p in DEFAULT_COMMAND_PHRASES for t in p.split()})

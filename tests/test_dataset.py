@@ -52,6 +52,28 @@ class TestFrames:
         with pytest.raises(DatasetError):
             as_frame(["x"] * FRAME_SIZE)
 
+    def test_finite_check_agrees_with_a_test_of_every_value(self):
+        """as_frame tests the sum of squares first: it accepts and rejects
+        exactly the rows that np.isfinite(row).all() does, with no numpy
+        warning when a finite row's sum overflows."""
+        rng = np.random.default_rng(63)
+        rows = [rng.normal(0, 1, FRAME_SIZE) * 10.0 ** rng.integers(-320, 309)
+                for _ in range(300)]
+        for value in (np.nan, np.inf, -np.inf, 1e200, -1e200, 1.7e308, -1.7e308,
+                      5e-324, -5e-324, 2.2e-308, -0.0):
+            rows.append(np.full(FRAME_SIZE, value))
+            for i in range(FRAME_SIZE):
+                row = rng.normal(0, 1, FRAME_SIZE)
+                row[i] = value
+                rows.append(row)
+        rows.append(np.array([np.inf, -np.inf] * 31 + [0.0]))
+        for row in rows:
+            if np.isfinite(row).all():
+                assert as_frame(row) is row
+            else:
+                with pytest.raises(DatasetError, match="^frame contains non-finite values$"):
+                    as_frame(row)
+
 
 class TestLabeledDataset:
     def test_label_set_derived_sorted(self):

@@ -24,10 +24,11 @@ from natcmd import (
     train_linear_svm,
     train_mlp,
 )
-from natcmd import dispatch
+from natcmd import dispatch, voice
 from natcmd.dispatch import GestureStreamSummary, VoiceStreamSummary, gesture_confidence
 from natcmd.errors import DatasetError, StreamError, VoiceError
-from natcmd.voice import (EmbeddingTable, default_command_list, load_command_list,
+from natcmd.voice import (DEFAULT_COMMAND_PHRASES, Command, CommandList, EmbeddingTable,
+                          default_command_list, jaro_winkler, load_command_list,
                           normalize_phrase)
 from test_classifiers import overflowing_frame
 from test_voice import fixture_table, oracle_transcripts, reference_jaro_winkler
@@ -613,9 +614,54 @@ def voice_script(commands, seed, failures=False):
     return items
 
 
+# Polls at the edges of the stream's pruning: the ties and exact-1.0 totals of
+# VOICE_TSV, non-ASCII and repeated characters, lone surrogates (normalized
+# away), empty canonical strings and the shared prefixes of look / look at /
+# look at it.
+EDGE_POLLS = ["run x", "RUN   X!", "halt now", "zero zero", "zero", "señal", "señal verde",
+              "\ud800", "look \udfff up", "look look look", "ooooo", "lloook att itt", "",
+              "?!", "look", "look at", "look at it", "look at i", "at it look", "日本 zoom",
+              "ζoom in", "move forward", "walk", "ñ"]
+
+
+def benchmark_style_polls(seed, n):
+    """A table of every default command word and 1000 filler words (50
+    values at 6 decimals), and polls drawn as the benchmark draws them:
+    a fifth silent, exact phrases with case, punctuation and spacing noise,
+    digit-marked gibberish, and 4-12-word utterances of 40% command words."""
+    rng = np.random.default_rng(seed)
+    word = lambda lo, hi, letters: "".join(rng.choice(list(letters), rng.integers(lo, hi + 1)))
+    command_words = sorted({t for p in DEFAULT_COMMAND_PHRASES for t in p.split()})
+    filler = sorted({word(3, 9, "abcdefghijklmnopqrstuvwxyz") for _ in range(1000)}
+                    - set(command_words))
+    words = command_words + filler
+    table = EmbeddingTable(50, dict(zip(words, rng.normal(0, 1, (len(words), 50)).round(6))))
+    polls = []
+    for _ in range(n):
+        draw = rng.random()
+        if draw < 0.2:
+            polls.append(None)
+        elif draw < 0.5:
+            phrase = DEFAULT_COMMAND_PHRASES[rng.integers(len(DEFAULT_COMMAND_PHRASES))]
+            tokens = [(t.upper(), t.title(), t)[rng.integers(3)]
+                      + ("" if rng.random() < 0.7 else ",.!?;:"[rng.integers(6)])
+                      for t in phrase.split()]
+            polls.append(" " * rng.integers(0, 3) + "".join(t + " " * rng.integers(1, 4)
+                                                            for t in tokens))
+        elif draw < 0.65:
+            polls.append(" ".join(word(3, 7, "bcdfghjklmnpqrstvwxz") + str(rng.integers(10))
+                                  for _ in range(rng.integers(1, 4))))
+        else:
+            polls.append(" ".join(command_words[rng.integers(len(command_words))]
+                                  if rng.random() < 0.4 else filler[rng.integers(len(filler))]
+                                  for _ in range(rng.integers(4, 13))))
+    return table, polls
+
+
 class TestVoiceStreamAgainstReference:
-    """Differential: the runner that prepares the command side once against
-    the resolve-per-poll loop it replaced."""
+    """Differential: the runner that prepares the command side once and
+    computes only the Jaro-Winkler values that can still win, against the
+    resolve-per-poll loop that computes all of them."""
 
     @pytest.fixture(scope="class")
     def setup(self, tmp_path_factory):
@@ -624,7 +670,10 @@ class TestVoiceStreamAgainstReference:
         rng = np.random.default_rng(5)
         table = fixture_table(run=np.ones(16), zero=np.zeros(16), at=rng.normal(0, 1, 16),
                               walk=rng.normal(0, 1, 16), señal=rng.normal(0, 1, 16))
-        return {"default": default_command_list(), "tsv": load_command_list(str(path))}, table
+        non_ascii = CommandList(tuple(Command(p, f"a{i}") for i, p in enumerate(
+            ["señal verde", "ζoom in", "日本", "señal", "look", "look at", "look at it", "ñ"])))
+        return {"default": default_command_list(), "tsv": load_command_list(str(path)),
+                "non-ascii": non_ascii}, table
 
     @staticmethod
     def replay(runner, items, commands, table, caplog, max_failures=5):
@@ -684,3 +733,36 @@ class TestVoiceStreamAgainstReference:
         assert (outcome, pulls) == ("embedding table is empty", 4)
         _, summary, pulls, _ = self.check([None] * 3, commands, empty, caplog)
         assert (summary.polls_processed, pulls) == (3, 3)
+
+    def test_benchmark_style_polls(self, caplog, monkeypatch):
+        commands = default_command_list()
+        table, items = benchmark_style_polls(5, 600)
+        calls = []
+        jw = voice._jaro_winkler
+        monkeypatch.setattr(voice, "_jaro_winkler", lambda *args: calls.append(1) or jw(*args))
+        wire, summary, _, _ = self.check(items, commands, table, caplog)
+        spoken = sum(item is not None for item in items)
+        assert len(wire) > spoken // 3  # the exact phrases fire
+        # the stream skips most of the 19 values a poll has (about 2 of them
+        # are computed); the reference uses its own Jaro-Winkler
+        assert len(calls) < 4 * spoken
+
+    @pytest.mark.parametrize("name", ["default", "tsv", "non-ascii"])
+    def test_edge_polls(self, setup, caplog, name):
+        lists, table = setup
+        wire, _, _, _ = self.check(EDGE_POLLS, lists[name], table, caplog)
+        assert wire
+
+    @pytest.mark.parametrize("name", ["default", "tsv", "non-ascii"])
+    def test_a_bound_that_is_reached_still_gives_ties_to_the_earlier_command(
+            self, setup, caplog, monkeypatch, name):
+        """With a bound exact for every even-indexed command and 0.5 over it
+        for the others, a command's ceiling can equal the best total so far:
+        it is still visited, and an equal total goes to the earlier command
+        (``run x`` ties ``run y`` at index 4 with ``run z`` at index 5)."""
+        lists, table = setup
+        commands = lists[name]
+        canonicals = [normalize_phrase(c.phrase).canonical for c in commands]
+        monkeypatch.setattr(voice, "_jw_bounds", lambda s, counts, lengths: np.array(
+            [jaro_winkler(s, c) + 0.5 * (i % 2) for i, c in enumerate(canonicals)]))
+        self.check(EDGE_POLLS + voice_script(commands, 0), commands, table, caplog)

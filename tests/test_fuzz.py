@@ -450,10 +450,12 @@ EMBEDDING_SEPARATORS = [t.encode() for t in ("\t", "\xa0", "\x85", "\x0b", "\x0c
                                              "\x1f", "\u3000")]
 
 
-# Values at the magnitude bound (accepted) and past it: near 1e154 a square
-# overflows, near 1e308 the value itself nearly does.
+# Values at the magnitude bound and floor (accepted) and past them: near 1e154
+# a square overflows, near 1e308 the value itself nearly does; near 1e-200 a
+# square underflows, and 5e-324 is the smallest subnormal.
 EMBEDDING_MAGNITUDES = [t.encode() for t in ("1e100", "-1e100", "1.0000000000000002e100",
-                                             "1e154", "-1.4e154", "1e308", "-1.7e308")]
+                                             "1e154", "-1.4e154", "1e308", "-1.7e308",
+                                             "1e-100", "1e-200", "-1e-300", "5e-324")]
 
 
 @pytest.mark.parametrize("token", EMBEDDING_TOKENS + EMBEDDING_SEPARATORS)

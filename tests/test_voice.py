@@ -19,7 +19,8 @@ from natcmd import (
     phrase_vector,
     resolve_command,
 )
-from natcmd.voice import DEFAULT_COMMAND_PHRASES, EmbeddingTable, snake_case_action
+from natcmd.voice import (DEFAULT_COMMAND_PHRASES, EmbeddingTable, _char_counts, _jw_bounds,
+                          snake_case_action)
 from natcmd.errors import VoiceError
 
 
@@ -206,6 +207,49 @@ class TestEmbeddings:
             EmbeddingTable(dimension=3, entries=entries)
         assert len(EmbeddingTable(dimension=1, entries={"a": [1e100], "b": [-1e100]})) == 2
 
+    @pytest.mark.parametrize("token", ["1e-200", "-1e-300", "5e-324", "-1.0e-100000"])
+    def test_value_under_the_floor_names_path_and_line(self, tmp_path, monkeypatch, token):
+        path = str(tmp_path / "emb.txt")
+        with open(path, "w") as fh:
+            fh.write(f"a 1 2\nb 1e-100 -1e-100\nc 0 -0.0\nd 3 {token}\n")
+        message = f"^{re.escape(path)} line 4: nonzero value of magnitude under 1e-100$"
+        if token == "-1.0e-100000":  # reads as -0.0
+            assert load_embeddings(path).entries["d"].tolist() == [3.0, -0.0]
+            return
+        with pytest.raises(VoiceError, match=message):
+            load_embeddings(path)
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)  # the per-line reader says the same
+        with pytest.raises(VoiceError, match=message):
+            load_embeddings(path)
+
+    def test_direct_table_names_the_word_under_the_floor(self):
+        entries = {f"w{i}": np.ones(3) for i in range(2500)}
+        entries["w1500"] = np.array([1.0, -1e-101, 0.0])
+        with pytest.raises(VoiceError, match="^vector for 'w1500' has a nonzero value of "
+                                             "magnitude under 1e-100$"):
+            EmbeddingTable(dimension=3, entries=entries)
+        table = EmbeddingTable(dimension=3, entries={"a": [1e-100, -1e-100, 0.0], "b": [-0.0] * 3})
+        assert len(table) == 2
+
+    def test_loaded_table_is_the_table_built_in_code(self, tmp_path):
+        """The loader builds its table without the second check; it is the
+        table ``EmbeddingTable`` builds from the same entries, bit for bit."""
+        path = str(tmp_path / "emb.txt")
+        rng = random.Random(4)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("300 4\n")
+            for i in range(300):
+                fh.write(f"w{i % 280} " + " ".join(repr(rng.gauss(0, 1)) for _ in range(4)) + "\n")
+            fh.write("odd 1_0 2 3 4\n")  # a block the per-line reader reads
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the duplicate words
+            loaded = load_embeddings(path)
+        built = EmbeddingTable(loaded.dimension, loaded.entries)
+        assert (loaded.dimension, list(loaded.entries)) == (built.dimension, list(built.entries))
+        for word, vec in loaded.entries.items():
+            assert (vec.dtype, vec.shape) == (np.float64, (4,))
+            assert vec.tobytes() == built.entries[word].tobytes()
+
     def test_direct_table_reports_errors_in_entry_order(self):
         with pytest.raises(VoiceError, match="'a' has non-finite"):
             EmbeddingTable(dimension=2, entries={"a": [np.nan, 0.0], "b": [1.0]})
@@ -317,6 +361,23 @@ class TestJaro:
             for a, b in ((s1, s2), (s2, s1)):
                 assert jaro(a, b) == reference_jaro(a, b), (a, b)
                 assert jaro_winkler(a, b) == reference_jaro_winkler(a, b), (a, b)
+
+
+    def test_bound_is_at_least_jaro_winkler(self):
+        """The stream's pruning bound on 20,000 seeded pairs: repeated and
+        non-ASCII characters, a lone surrogate, equal strings, anagrams and
+        shared prefixes among them."""
+        rng = random.Random(20)
+        alphabet = "abcde 'éñ日ζ\ud800"
+        draw = lambda: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 24)))
+        for _ in range(1000):
+            s = draw()
+            others = [s, "".join(rng.sample(s, len(s))), s[:rng.randint(1, 5)] + draw()]
+            others += [draw() for _ in range(17)]
+            counts = np.array([_char_counts(t) for t in others])
+            bounds = _jw_bounds(s, counts, np.array([len(t) for t in others]))
+            for t, bound in zip(others, bounds.tolist()):
+                assert jaro_winkler(s, t) <= bound, (s, t)
 
 
 class TestCommandList:
