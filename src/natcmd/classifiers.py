@@ -134,11 +134,6 @@ class Prediction:
     elapsed_ms: float
 
 
-def _augment(frames: np.ndarray) -> np.ndarray:
-    ones = np.ones((frames.shape[0], 1), dtype=np.float64)
-    return np.hstack([frames, ones])
-
-
 def _check_trainable(train: LabeledDataset) -> None:
     if len(train.label_set) < 2:
         raise TrainingError("training needs at least 2 distinct labels")
@@ -148,8 +143,11 @@ def _check_trainable(train: LabeledDataset) -> None:
 
 def svm_objective(weights: np.ndarray, x_aug: np.ndarray, y_signs: np.ndarray, c: float) -> float:
     """Sum over classes of 0.5*||w_k||^2 + C * sum_i max(0, 1 - y_ik w_k.x_i)."""
-    margins = x_aug @ weights.T
-    hinge = np.maximum(0.0, 1.0 - y_signs * margins)
+    # max(0, 1 - y * (x @ w.T)), each step written over the product: bit-identical
+    hinge = x_aug @ weights.T
+    hinge *= y_signs
+    np.subtract(1.0, hinge, out=hinge)
+    np.maximum(0.0, hinge, out=hinge)
     return float(0.5 * np.sum(weights * weights) + c * hinge.sum())
 
 
@@ -177,11 +175,12 @@ def train_linear_svm(
     _check_trainable(train)
     t0 = time.perf_counter()
 
-    x_aug = _augment(train.frames)
-    n, dim = x_aug.shape
+    n, dim = len(train), FRAME_SIZE + 1
+    x_aug = np.empty((n, dim))  # the frames and a constant 1.0 feature for the bias
+    x_aug[:, :-1] = train.frames
+    x_aug[:, -1] = 1.0
     k = len(train.label_set)
-    onehot = one_hot_encode(train.labels, train.label_set)
-    y_signs = onehot.astype(np.float64) * 2.0 - 1.0  # (N, K) in {-1, +1}
+    y_signs = np.where(one_hot_encode(train.labels, train.label_set) == 1, 1.0, -1.0)  # (N, K)
 
     inv_lam = cfg.c * n  # 1/lambda
     rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)

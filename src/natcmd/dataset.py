@@ -125,19 +125,29 @@ class LabeledDataset:
     label_set: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
+        # one copy, read-only, so the caller's array is never aliased
+        self._set(np.array(self.frames, dtype=np.float64), self.labels)
+
+    @classmethod
+    def _owned(cls, frames: np.ndarray, labels) -> "LabeledDataset":
+        """The dataset of a fresh float64 matrix the caller hands over: checked
+        as the constructor checks, made read-only, not copied."""
+        ds = object.__new__(cls)
+        ds._set(frames, labels)
+        return ds
+
+    def _set(self, frames: np.ndarray, labels) -> None:
         if frames.ndim != 2 or frames.shape[1] != FRAME_SIZE:
             raise DatasetError(
                 f"frames must be (N, {FRAME_SIZE}), got shape {frames.shape}"
             )
         if not np.all(np.isfinite(frames)):
             raise DatasetError("dataset contains non-finite coordinates")
-        labels = tuple(self.labels)
+        labels = tuple(labels)
         if len(labels) != frames.shape[0]:
             raise DatasetError(
                 f"{frames.shape[0]} frames but {len(labels)} labels"
             )
-        frames = frames.copy()
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "labels", labels)
@@ -198,10 +208,8 @@ def split_dataset(
         test_idx.extend(perm[n_train:].tolist())
 
     def subset(indices: list[int]) -> LabeledDataset:
-        return LabeledDataset(
-            frames=ds.frames[indices],
-            labels=tuple(ds.labels[i] for i in indices),
-        )
+        # the gather is a fresh matrix: no second copy
+        return LabeledDataset._owned(ds.frames[indices], [ds.labels[i] for i in indices])
 
     return subset(train_idx), subset(test_idx)
 
@@ -275,15 +283,14 @@ def generate_synthetic_dataset(spec: SyntheticSpec) -> LabeledDataset:
     frame equals its prototype exactly.
     """
     protos = synthetic_prototypes(spec)
-    blocks = []
-    labels: list[str] = []
-    for label in spec.label_set:
+    n = spec.frames_per_label
+    frames = np.empty((len(spec.label_set) * n, FRAME_SIZE))
+    for i, label in enumerate(spec.label_set):
         rng = _label_rng(spec.seed, label)
         rng.uniform(0.0, 1.0, FRAME_SIZE)  # skip past the prototype draw
-        noise = rng.normal(0.0, spec.noise_sigma, (spec.frames_per_label, FRAME_SIZE))
-        blocks.append(protos[label] + noise)
-        labels.extend([label] * spec.frames_per_label)
-    return LabeledDataset(frames=np.vstack(blocks), labels=tuple(labels))
+        np.add(protos[label], rng.normal(0.0, spec.noise_sigma, (n, FRAME_SIZE)),
+               out=frames[i * n : (i + 1) * n])
+    return LabeledDataset._owned(frames, [label for label in spec.label_set for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +416,8 @@ def _read_dataset(fh, fmt: str, path: str) -> LabeledDataset:
     frames, labels = _READERS[fmt](fh, path)
     if not labels:
         raise DatasetError(f"{path}: empty dataset (no frames)")
-    return LabeledDataset(frames=frames, labels=tuple(labels))
+    # the numpy pass's matrix as it is, or one matrix of the per-row frames
+    return LabeledDataset._owned(np.asarray(frames, dtype=np.float64), labels)
 
 
 def _read_csv(fh, path: str):

@@ -465,7 +465,8 @@ def _command_side(commands: CommandList, table: EmbeddingTable):
 
 
 def _cosines(phrase: TokenizedPhrase, table: EmbeddingTable, sums, sum_norms) -> np.ndarray:
-    """Every command's cosine against ``phrase``, clamped at 0 (see :func:`_score`)."""
+    """Every command's cosine against ``phrase``, clamped at 0; ``sums`` and
+    ``sum_norms`` are the :func:`_command_side`."""
     tvec = phrase_vector(phrase, table)
     norms = sum_norms * np.linalg.norm(tvec)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -474,30 +475,16 @@ def _cosines(phrase: TokenizedPhrase, table: EmbeddingTable, sums, sum_norms) ->
     return cosines
 
 
-def _score(phrase: TokenizedPhrase, commands: CommandList, table: EmbeddingTable,
-           sums: np.ndarray, sum_norms: np.ndarray):
-    """Every command's cosine and Jaro-Winkler value against ``phrase``, as
-    lists in command order, then the best index and total. Ties go to the
-    earlier command; the index is None unless the total exceeds the
-    threshold. ``sums`` and ``sum_norms`` are the :func:`_command_side`."""
-    cosines = _cosines(phrase, table, sums, sum_norms).tolist()
-    jws = list(map(_jaro_winkler, itertools.repeat(phrase.canonical), commands._canonicals,
-                   commands._positions))
-    totals = list(map(operator.add, cosines, jws))
-    best_total = max(totals)
-    best = totals.index(best_total) if best_total > MATCH_THRESHOLD else None
-    return cosines, jws, best, best_total
-
-
 def _best(phrase: TokenizedPhrase, commands: CommandList, table: EmbeddingTable,
           sums: np.ndarray, sum_norms: np.ndarray):
-    """:func:`_score`'s best index and total, computing the Jaro-Winkler values
-    only of commands whose ceiling (cosine plus :func:`_jw_bounds`) can still
-    win, in descending order of ceiling (equal ones in command order)."""
+    """:func:`resolve_command`'s best index (or None) and total, computing the
+    Jaro-Winkler values only of commands whose ceiling (cosine plus
+    :func:`_jw_bounds`) can still win, in descending order of ceiling (equal
+    ones in command order)."""
     s = phrase.canonical
-    if not s:
-        return _score(phrase, commands, table, sums, sum_norms)[2:]
-    cosines = _cosines(phrase, table, sums, sum_norms)
+    cosines = _cosines(phrase, table, sums, sum_norms)  # raises for an empty table
+    if not s:  # no command string is empty: cosine and Jaro-Winkler are 0 for all
+        return None, 0.0
     ceilings = cosines + _jw_bounds(s, commands._counts, commands._lengths)
     order = np.argsort(-ceilings, kind="stable")
     cosines, best, best_total = cosines.tolist(), None, -1.0
@@ -523,10 +510,15 @@ def resolve_command(
     from :func:`cosine_similarity` of the mean vectors.
     """
     phrase = normalize_phrase(transcript)
-    cosines, jws, best, _ = _score(phrase, commands, table, *_command_side(commands, table))
-    best_cmd = None if best is None else commands.commands[best]
+    cosines = _cosines(phrase, table, *_command_side(commands, table)).tolist()
+    jws = map(_jaro_winkler, itertools.repeat(phrase.canonical), commands._canonicals,
+              commands._positions)
+    candidates = tuple(map(CandidateScore, [c.phrase for c in commands], cosines, jws))
+    totals = [c.total for c in candidates]
+    best_total = max(totals)
+    best = commands.commands[totals.index(best_total)]  # ties to the earlier command
     return MatchResult(
-        matched=None if best_cmd is None else (best_cmd.action_id, best_cmd.phrase),
-        per_candidate=tuple(map(CandidateScore, [c.phrase for c in commands], cosines, jws)),
+        matched=(best.action_id, best.phrase) if best_total > MATCH_THRESHOLD else None,
+        per_candidate=candidates,
         transcript=phrase,
     )

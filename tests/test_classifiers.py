@@ -113,6 +113,37 @@ class TestSvmTraining:
                 expected += 2.5 * max(0.0, 1.0 - y[i, k] * float(w[k] @ x[i]))
         assert svm_objective(w, x, y, 2.5) == pytest.approx(expected)
 
+    @staticmethod
+    def plain_objective(w, x, y, c):
+        """svm_objective as one expression, before its hinge was computed in place."""
+        return float(0.5 * np.sum(w * w) + c * np.maximum(0.0, 1.0 - y * (x @ w.T)).sum())
+
+    def objective_cases(self, scale):
+        rng = np.random.default_rng(21)
+        for n, k, dim in ((1, 2, 4), (7, 3, 5), (300, 15, FRAME_SIZE + 1)):
+            w = rng.normal(size=(k, dim)) * scale
+            x = rng.normal(size=(n, dim)) * scale
+            y = np.where(rng.integers(2, size=(n, k)) == 1, 1.0, -1.0)
+            yield w, x, y, float(rng.uniform(0.1, 10.0))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_objective_is_bit_equal_to_the_plain_expression(self, scale):
+        for w, x, y, c in self.objective_cases(scale):
+            got, want = svm_objective(w, x, y, c), self.plain_objective(w, x, y, c)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_overflowing_objective_is_bit_equal_to_the_plain_expression(self):
+        """Products and sums near and past the float64 range: finite, inf,
+        and NaN where the product sums inf and -inf."""
+        outcomes = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for scale in (1e150, 1e155, 1e300):
+                for w, x, y, c in self.objective_cases(scale):
+                    got, want = svm_objective(w, x, y, c), self.plain_objective(w, x, y, c)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    outcomes.add("finite" if math.isfinite(got) else repr(got))
+        assert outcomes == {"finite", "inf", "nan"}
+
     def test_single_class_rejected(self):
         ds = LabeledDataset(frames=np.zeros((3, FRAME_SIZE)), labels=("a", "a", "a"))
         with pytest.raises(TrainingError):

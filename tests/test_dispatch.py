@@ -731,6 +731,9 @@ class TestVoiceStreamAgainstReference:
         items = [None, RuntimeError("a"), None, "look up", "zoom in"]
         _, outcome, pulls, _ = self.check(items, commands, empty, caplog)
         assert (outcome, pulls) == ("embedding table is empty", 4)
+        # a transcript that normalizes to nothing is a spoken poll too
+        _, outcome, pulls, _ = self.check([None, "!!!", "look up"], commands, empty, caplog)
+        assert (outcome, pulls) == ("embedding table is empty", 2)
         _, summary, pulls, _ = self.check([None] * 3, commands, empty, caplog)
         assert (summary.polls_processed, pulls) == (3, 3)
 

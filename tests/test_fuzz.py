@@ -4,9 +4,10 @@ Each case mutates a valid file once -- a byte flip, a truncation, a dropped
 or duplicated field, a huge integer, a non-finite token, a BOM, CRLF or CR
 line endings, or bytes that are not UTF-8; in the JSON formats also deep
 nesting, in a model a parameter that is an object, in raw frame lines
-coordinates of +-1.7e308, and in embeddings values near 1e100, 1e154 and
-1e308 -- and reads it through the library reader and every ``natcmd``
-command that reads that format.
+coordinates of +-1.7e308, in a dataset to train on coordinates from 1e300
+to 1.7e308, and in embeddings values near 1e100, 1e154 and 1e308 -- and
+reads it through the library reader and every ``natcmd`` command that
+reads that format.
 
 Invariant: every entry point accepts the file and gives what the library
 gives for the library's parse, or rejects it with a NatcmdError; on the
@@ -26,6 +27,9 @@ import numpy as np
 import pytest
 
 from natcmd import (
+    FRAME_SIZE,
+    LabeledDataset,
+    MlpConfig,
     ReplayClock,
     StabilityPolicy,
     SvmConfig,
@@ -47,6 +51,7 @@ from natcmd import (
     save_landmark_dataset,
     save_model,
     train_linear_svm,
+    train_mlp,
 )
 from natcmd.cli import run_cli
 from natcmd.dataset import frame_from_fields
@@ -210,12 +215,12 @@ class Natcmd:
         code = run_cli([str(a) for a in argv])
         out, err = self.capsys.readouterr()
         self.codes.append(code)
+        assert "encountered in" not in err, err  # a numpy RuntimeWarning
         if error is not None:
             assert (code, out) == (2, ""), err
             assert "error: " in err and err.endswith(f"{error}\n"), err
             return None
         assert code == 0, err
-        assert "encountered in" not in err, err  # a numpy RuntimeWarning
         check_stdout(argv[0], out)
         if wanted is not None:
             summary = json.loads(err.splitlines()[-1]) if argv[0] == "run" else None
@@ -440,6 +445,53 @@ def test_overflowing_frame(seed, inputs, tmp_path, capsys):
     path = tmp_path / f"overflowing{suffix}"
     path.write_bytes(overflowing_frame(valid(inputs), random.Random(f"overflow {seed}"), sep))
     check(Natcmd(capsys), inputs, path)
+
+
+# Finite magnitudes from 1e300 to near the largest double: training on them
+# overflows at some epoch, or (for a few seeded datasets) never.
+TRAIN_MAGNITUDES = (1e300, 1e303, 1e306, 1e307, 1.7e308)
+TRAIN_ERRORS = {"svm": r"svm objective is not finite after epoch \d+",
+                "mlp": r"mlp parameters are not finite after epoch \d+"}
+
+
+def huge_dataset_csv(path, rng, scale):
+    """A seeded 12-frame dataset CSV in which one to three frames are scaled
+    so their largest coordinate is +-``scale``, or get one coordinate of it."""
+    ds = generate_synthetic_dataset(
+        SyntheticSpec(label_set=("down", "stop", "up"), frames_per_label=4,
+                      seed=rng.randrange(1000)))
+    frames = ds.frames.copy()
+    for i in rng.sample(range(len(frames)), rng.randint(1, 3)):
+        value = rng.choice([scale, -scale])
+        if rng.random() < 0.5:
+            frames[i] = frames[i] / np.abs(frames[i]).max() * value
+        else:
+            frames[i, rng.randrange(FRAME_SIZE)] = value
+    save_landmark_dataset(LabeledDataset(frames=frames, labels=ds.labels), str(path))
+
+
+@pytest.mark.parametrize("scale", TRAIN_MAGNITUDES)
+@pytest.mark.parametrize("kind", list(TRAIN_ERRORS))
+def test_training_near_the_float64_limit(kind, scale, tmp_path, capsys):
+    """``natcmd train`` exits 2 naming the epoch whose result is not finite,
+    as the library raises it, or exits 0 with the library's model. A numpy
+    warning would be an error here (pytest's RuntimeWarning filter)."""
+    train, cfg = ((train_linear_svm, SvmConfig(seed=3)) if kind == "svm"
+                  else (train_mlp, MlpConfig(seed=3)))
+    natcmd = Natcmd(capsys)
+    model_path = tmp_path / "trained.json"
+    for seed in range(4):
+        path = tmp_path / f"huge-{seed}.csv"
+        huge_dataset_csv(path, random.Random(f"train {kind} {scale} {seed}"), scale)
+        model, error = outcome(train, load_landmark_dataset(str(path)), cfg)
+        if error is not None:
+            assert re.fullmatch(TRAIN_ERRORS[kind], str(error)), error
+        out = natcmd.expect(["train", "--kind", kind, "--seed", 3, "--data", path,
+                             "-o", model_path], error and str(error))
+        if out is not None:
+            trained = load_model(str(model_path))
+            for name, arr in model.params.items():
+                assert trained.params[name].tobytes() == arr.tobytes(), name
 
 
 # Embedding value tokens that float() reads and numpy does not (the first
