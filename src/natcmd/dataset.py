@@ -192,11 +192,12 @@ def split_dataset(
     if len(ds) == 0:
         raise DatasetError("cannot split an empty dataset")
     rng = np.random.default_rng(_nonneg_seed(seed))
-    labels_arr = np.asarray(ds.labels, dtype=object)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label in ds.label_set:
-        idx = np.flatnonzero(labels_arr == label)
+    code = {label: j for j, label in enumerate(ds.label_set)}
+    codes = np.fromiter(map(code.__getitem__, ds.labels), np.intp, len(ds))
+    # the stable sort cuts into each label's indices, ascending, in label_set order
+    groups = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+    train_idx, test_idx = [], []
+    for label, idx in zip(ds.label_set, groups):
         if idx.size < 2:
             raise DatasetError(
                 f"label {label!r} has {idx.size} frame(s); stratified splitting "

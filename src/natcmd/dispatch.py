@@ -161,6 +161,7 @@ def run_gesture_stream(
     run_length = 0
     k = policy.k
     classify, labels = _frame_classifier(model), model.label_set
+    confidence = MODEL_KINDS[model.kind].confidence
     # the debounce compares label indices; None matches no index
     suppress = (labels.index(policy.suppress_label)
                 if policy.suppress_label in labels else None)
@@ -182,7 +183,8 @@ def run_gesture_stream(
                 current = idx
                 run_length = 1
             if run_length >= k and idx != suppress and idx != last_emitted:
-                emit(labels[idx], gesture_confidence(model, s))
+                # = gesture_confidence: a NaN or +inf in s would be the argmax
+                emit(labels[idx], confidence(float(s[idx])))
                 last_emitted = idx
                 events += 1
     return GestureStreamSummary(

@@ -15,7 +15,9 @@ ignored. Ties break toward the earlier command in the list.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,6 +29,7 @@ from .errors import VoiceError
 WINKLER_PREFIX_SCALE = 0.1
 WINKLER_MAX_PREFIX = 4
 MATCH_THRESHOLD = 1.0  # accept only when total similarity exceeds this
+_DROPPED = re.compile(r"[^\w\s']|_")  # keeps what is isalnum(), isspace() or "'"
 
 #: The stock command vocabulary for the progress-monitoring CPS.
 DEFAULT_COMMAND_PHRASES: tuple[str, ...] = (
@@ -65,8 +68,7 @@ class TokenizedPhrase:
 
 def normalize_phrase(text: str) -> TokenizedPhrase:
     """Lowercase, drop punctuation (apostrophes survive), split on whitespace."""
-    kept = "".join([ch for ch in text.lower() if ch.isalnum() or ch == "'" or ch.isspace()])
-    return TokenizedPhrase(tokens=tuple(kept.split()))
+    return TokenizedPhrase(tokens=tuple(_DROPPED.sub("", text.lower()).split()))
 
 
 #: The largest magnitude an embedding value may have. With |v| <= 1e100, a
@@ -117,9 +119,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
 
 
 def _in_range(magnitudes: np.ndarray) -> np.ndarray:
@@ -244,7 +243,7 @@ def phrase_vector(phrase: TokenizedPhrase, table: EmbeddingTable) -> np.ndarray:
     """Mean vector of the phrase's in-vocabulary tokens; zeros if none."""
     if len(table) == 0:
         raise VoiceError("embedding table is empty")
-    vectors = [table.entries[t] for t in phrase.tokens if t in table]
+    vectors = [table.entries[t] for t in phrase.tokens if t in table.entries]
     if not vectors:
         return np.zeros(table.dimension)
     return np.add.reduce(vectors, axis=0) / len(vectors)  # np.mean's arithmetic, less overhead
@@ -313,18 +312,19 @@ def _jaro_winkler(s1: str, s2: str, positions: dict[str, list[int]]) -> float:
 
 
 def _char_counts(s: str) -> np.ndarray:
-    """Counts of the characters of ``s``: a bucket per ASCII code, one (128) for the rest."""
-    codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    return np.bincount(np.minimum(codes, 128), minlength=129)
+    """Counts of the characters of ``s``: a bucket per ASCII code, the one of
+    ``?`` (which normalizing drops) for every other character."""
+    return np.bincount(np.frombuffer(s.encode("ascii", "replace"), np.uint8), minlength=128)
 
 
-def _jw_bounds(s: str, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _jw_bounds(s: str, counts: np.ndarray, fifths: np.ndarray) -> np.ndarray:
     """Upper bounds, with 1e-12 of slack, on the Jaro-Winkler value of a nonempty
-    ``s`` against the strings whose :func:`_char_counts` and lengths these are:
-    the m matches are at most the shared characters, so Jaro <= (m/len1 +
-    m/len2 + 1)/3, and a prefix of at most 4 gives JW <= 0.6 Jaro + 0.4."""
+    ``s`` against the strings whose :func:`_char_counts` and ``0.2 / len`` these
+    are: the m matches are at most the shared characters (merged buckets only
+    raise the count), so Jaro <= (m/len1 + m/len2 + 1)/3, and a prefix of at
+    most 4 gives JW <= 0.6 Jaro + 0.4 = m (0.2/len1 + 0.2/len2) + 0.6."""
     m = np.minimum(counts, _char_counts(s)).sum(axis=1)
-    return 0.2 * (m / len(s) + m / lengths + 1.0) + 0.4 + 1e-12
+    return m * (fifths + 0.2 / len(s)) + (0.6 + 1e-12)
 
 
 def jaro(s1: str, s2: str) -> float:
@@ -357,14 +357,14 @@ class Command:
 @dataclass(frozen=True, eq=False)
 class CommandList:
     """The commands, plus what resolving needs of their phrases, computed once:
-    canonical strings with Jaro position maps, character counts and lengths,
+    canonical strings with Jaro position maps, character counts and 0.2 / length,
     all tokens in one tuple, and a (C, T) 0/1 matrix marking c's tokens in row c."""
 
     commands: tuple[Command, ...]
     _canonicals: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _positions: tuple[dict, ...] = field(init=False, repr=False, compare=False)
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    _fifth_per_char: np.ndarray = field(init=False, repr=False, compare=False)
     _tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _token_owner: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -388,7 +388,7 @@ class CommandList:
         object.__setattr__(self, "_canonicals", canonicals)
         object.__setattr__(self, "_positions", tuple(map(_char_positions, canonicals)))
         object.__setattr__(self, "_counts", np.array(list(map(_char_counts, canonicals))))
-        object.__setattr__(self, "_lengths", np.array(list(map(len, canonicals))))
+        object.__setattr__(self, "_fifth_per_char", 0.2 / np.array(list(map(len, canonicals))))
         object.__setattr__(self, "_tokens", tokens)
         object.__setattr__(self, "_token_owner", owner)
 
@@ -457,21 +457,26 @@ class MatchResult:
 
 def _command_side(commands: CommandList, table: EmbeddingTable):
     """Each command's summed token vectors, (C, d), read from ``table.entries``
-    (0 for a token it lacks), and their row norms."""
+    (0 for a token it lacks), and their row norms, 1 for an all-zero sum (the
+    only one of norm 0, by ``MIN_MAGNITUDE``): its cosine is +-0, clamped to 0."""
     absent = np.zeros(table.dimension)
     token_vecs = np.array([table.entries.get(t, absent) for t in commands._tokens])
     sums = commands._token_owner @ token_vecs
-    return sums, np.linalg.norm(sums, axis=1)
+    norms = np.linalg.norm(sums, axis=1)
+    norms[norms == 0.0] = 1.0
+    return sums, norms
 
 
 def _cosines(phrase: TokenizedPhrase, table: EmbeddingTable, sums, sum_norms) -> np.ndarray:
-    """Every command's cosine against ``phrase``, clamped at 0; ``sums`` and
-    ``sum_norms`` are the :func:`_command_side`."""
+    """Every command's cosine against ``phrase``, clamped at 0 (-0.0 too), and
+    all 0 when the phrase vector is zero; ``sums`` and ``sum_norms`` are the
+    :func:`_command_side`."""
     tvec = phrase_vector(phrase, table)
-    norms = sum_norms * np.linalg.norm(tvec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosines = (sums @ tvec) / norms
-    cosines[~(cosines > 0.0)] = 0.0  # clamp at 0; a zero norm gives 0/0 -> 0
+    tnorm = math.sqrt(tvec.dot(tvec))  # np.linalg.norm's arithmetic for a vector
+    if tnorm == 0.0:
+        return np.zeros(len(sums))
+    cosines = (sums @ tvec) / (sum_norms * tnorm)
+    cosines[cosines <= 0.0] = 0.0
     return cosines
 
 
@@ -485,11 +490,12 @@ def _best(phrase: TokenizedPhrase, commands: CommandList, table: EmbeddingTable,
     cosines = _cosines(phrase, table, sums, sum_norms)  # raises for an empty table
     if not s:  # no command string is empty: cosine and Jaro-Winkler are 0 for all
         return None, 0.0
-    ceilings = cosines + _jw_bounds(s, commands._counts, commands._lengths)
-    order = np.argsort(-ceilings, kind="stable")
+    ceilings = (_jw_bounds(s, commands._counts, commands._fifth_per_char) + cosines).tolist()
+    order = [i for i, ceiling in enumerate(ceilings) if ceiling > MATCH_THRESHOLD]
+    order.sort(key=ceilings.__getitem__, reverse=True)  # stable: equal ones in command order
     cosines, best, best_total = cosines.tolist(), None, -1.0
-    for i, ceiling in zip(order.tolist(), ceilings[order].tolist()):
-        if ceiling < best_total or ceiling <= MATCH_THRESHOLD:  # an equal total can still win
+    for i in order:
+        if ceilings[i] < best_total:  # an equal total can still win
             break
         total = cosines[i] + _jaro_winkler(s, commands._canonicals[i], commands._positions[i])
         if total > best_total or (total == best_total and i < best):

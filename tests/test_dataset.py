@@ -1,5 +1,7 @@
 import csv
+import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -235,6 +237,47 @@ class TestSplit:
         for frac in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(DatasetError):
                 split_dataset(ds, frac, seed=0)
+
+    @staticmethod
+    def reference_split(ds, train_fraction, seed):
+        """The per-label ``flatnonzero`` scan: (train indices, test indices)."""
+        rng = np.random.default_rng(seed)
+        labels_arr = np.asarray(ds.labels, dtype=object)
+        train, test = [], []
+        for label in ds.label_set:
+            idx = np.flatnonzero(labels_arr == label)
+            if idx.size < 2:
+                raise DatasetError(f"label {label!r} has {idx.size} frame(s); stratified "
+                                   "splitting needs at least 2 per label")
+            perm = rng.permutation(idx)
+            n_train = math.floor(train_fraction * idx.size)
+            train += perm[:n_train].tolist()
+            test += perm[n_train:].tolist()
+        return train, test
+
+    def test_same_split_as_the_per_label_scan(self):
+        """Shuffled labels with uneven counts (2 to 60 per label, 1 to 8 labels
+        whose sorted order is not their order of appearance), several fractions
+        and seeds: the same frames and labels on each side, in the same order."""
+        rng = np.random.default_rng(21)
+        names = ["zeta", "b", "a10", "a9", "gamma", "Q", "_", "é"]
+        for trial in range(40):
+            chosen = names[:rng.integers(1, len(names) + 1)]
+            labels = [name for name in chosen for _ in range(rng.integers(2, 61))]
+            ds = make_dataset([labels[i] for i in rng.permutation(len(labels))], rng=rng)
+            fraction, seed = (0.3, 0.5, 0.66, 0.8)[trial % 4], int(rng.integers(0, 2**32))
+            want = self.reference_split(ds, fraction, seed)
+            for got, idx in zip(split_dataset(ds, fraction, seed), want):
+                assert got.frames.tobytes() == ds.frames[idx].tobytes()
+                assert got.labels == tuple(ds.labels[i] for i in idx)
+
+    def test_small_label_error_names_the_first_one_in_label_set_order(self):
+        for labels in (["b", "b", "c", "a"], ["c", "a", "b", "b", "a", "d"], ["x"]):
+            ds = make_dataset(labels)
+            with pytest.raises(DatasetError) as want:
+                self.reference_split(ds, 0.5, 0)
+            with pytest.raises(DatasetError, match=re.escape(str(want.value))):
+                split_dataset(ds, 0.5, seed=0)
 
 
 class TestOneHot:

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from natcmd import (
     train_mlp,
 )
 from natcmd import dispatch, voice
+from natcmd.cli import run_cli
 from natcmd.dispatch import GestureStreamSummary, VoiceStreamSummary, gesture_confidence
 from natcmd.errors import DatasetError, StreamError, VoiceError
 from natcmd.voice import (DEFAULT_COMMAND_PHRASES, Command, CommandList, EmbeddingTable,
@@ -506,7 +508,7 @@ def reference_resolve(transcript, commands, table):
     phrase = normalize_phrase(transcript)
     if len(table) == 0:
         raise VoiceError("embedding table is empty")
-    vectors = [table.entries[t] for t in phrase.tokens if t in table]
+    vectors = [table.entries[t] for t in phrase.tokens if t in table.entries]
     tvec = np.mean(vectors, axis=0) if vectors else np.zeros(table.dimension)
     absent = np.zeros(table.dimension)
     token_vecs = np.array([table.entries.get(t, absent) for t in commands._tokens])
@@ -749,6 +751,43 @@ class TestVoiceStreamAgainstReference:
         # the stream skips most of the 19 values a poll has (about 2 of them
         # are computed); the reference uses its own Jaro-Winkler
         assert len(calls) < 4 * spoken
+
+    def test_zero_norms_and_a_cosine_that_underflows(self, caplog, tmp_path, capsys):
+        """A word with a zero vector, a command with no token in the table,
+        transcripts whose vectors cancel, and a cosine of -1e-200 / 1e200
+        that underflows to -0.0: the same events as the reference's
+        (0/0 -> NaN -> 0 and the clamp), and every cosine +0.0 in ``match``."""
+        entries = {"zero": [0.0, 0.0, 0.0], "up": [1.0, 2.0, 0.0], "down": [-1.0, -2.0, 0.0],
+                   "p": [1e-100, 1e100, 0.0], "q": [-1e-100, 0.0, 1e100]}
+        table = EmbeddingTable(3, {w: np.array(v) for w, v in entries.items()})
+        commands = CommandList(tuple(Command(p, p.replace(" ", "_")) for p in
+                                     ["zero", "halt now", "up", "p", "up zero", "down q"]))
+        polls = ["zero", "zero zero", "halt now", "halt", "up down", "down up up down", "q",
+                 "p", "q q", "up", "upp", None, "p q", "down", "down qq", "zero up"]
+        # the reference's cosines for "q": p's is -0.0 and halt now's 0/0 is NaN
+        tvec = voice.phrase_vector(normalize_phrase("q"), table)
+        sums = commands._token_owner @ np.array([entries.get(t, [0.0] * 3)
+                                                 for t in commands._tokens])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = (sums @ tvec) / (np.linalg.norm(sums, axis=1) * np.linalg.norm(tvec))
+        assert raw[3] == 0.0 and math.copysign(1.0, raw[3]) == -1.0 and np.isnan(raw[1])
+
+        wire, _, _, _ = self.check(polls, commands, table, caplog)
+        # "zero" and "halt now" total exactly 1.0; "up down" has cosine 0
+        assert [action for _, action, _, _ in wire] == ["p", "up", "p", "up_zero"]
+
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(f"{w} {' '.join(map(repr, v))}\n" for w, v in entries.items()))
+        tsv = tmp_path / "cmds.tsv"
+        tsv.write_text("".join(f"{c.action_id}\t{c.phrase}\n" for c in commands))
+        for text in polls[:11] + ["hi"]:
+            assert run_cli(["match", "--commands", str(tsv), "--embeddings", str(path),
+                            "--text", text]) == 0
+            captured = capsys.readouterr()
+            cosines = [c["cosine"] for c in json.loads(captured.out)["candidates"]]
+            # halt now has no token in the table: its cosine is always 0
+            assert cosines[1] == 0.0 and all(math.copysign(1.0, c) == 1.0 for c in cosines)
+            assert "-0.0" not in captured.out and captured.err == ""
 
     @pytest.mark.parametrize("name", ["default", "tsv", "non-ascii"])
     def test_edge_polls(self, setup, caplog, name):
